@@ -8,6 +8,8 @@
 //! grammar, so a stray comma or an unescaped quote in a span name fails
 //! the test the same way it would fail the trace viewer.
 
+use std::sync::{Mutex, MutexGuard};
+
 /// Parses one JSON value starting at `i`; returns the index past it.
 fn parse_value(s: &[u8], i: usize) -> Result<usize, String> {
     let i = skip_ws(s, i);
@@ -140,8 +142,18 @@ fn assert_valid_json(s: &str) {
     );
 }
 
+/// The trace buffer is process-global: `trace_stop` in one test empties
+/// the trace another test is still recording, so the tests take turns.
+static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
+/// Takes [`TRACE_LOCK`], surviving a poisoned lock from a failed test.
+fn trace_lock() -> MutexGuard<'static, ()> {
+    TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn trace_of_a_real_run_is_wellformed_trace_event_json() {
+    let _guard = trace_lock();
     ksa_obs::trace_start();
     let results = ksa_bench::run_experiments(&["rounds"]);
     let doc = ksa_obs::trace_stop();
@@ -166,5 +178,6 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
 fn empty_trace_is_wellformed_too() {
     // Without trace_start (or with obs compiled out) the export is still
     // a valid, loadable document.
+    let _guard = trace_lock();
     assert_valid_json(&ksa_obs::trace_stop());
 }

@@ -9,7 +9,8 @@
 //!   and, for each, the set of original boundary-row indices whose XOR
 //!   reproduces it (⇒ each basis row really lies in the row space).
 //! - **rank ≤ r**: the checker reduces *every* original boundary row
-//!   against the basis; all of them must vanish.
+//!   against the basis, finding each pivot in a leading-column table;
+//!   all of them must vanish.
 //!
 //! The original boundary rows themselves are **not** trusted from the
 //! certificate: the checker rebuilds the face closure and the boundary
@@ -18,8 +19,7 @@
 //! machinery in `ksa_topology::chain`.
 
 use crate::text::{push_label, push_nums, Cursor};
-use crate::{strictly_ascending, symm_diff, CertError};
-use std::collections::BTreeSet;
+use crate::{strictly_ascending, symm_diff_into, CertError};
 
 /// Hard cap on closure size the checker will rebuild (faces across all
 /// dimensions). Way above anything the experiments emit; guards the
@@ -141,71 +141,148 @@ impl HomologyCert {
     }
 }
 
+/// One dimension of the checker's rebuilt closure (or one boundary
+/// map): fixed-stride chunks stored back to back in a single buffer.
+/// Once sorted, a chunk's position is its row / column index, and
+/// lookups are binary searches over whole chunks.
+struct FlatFaces {
+    stride: usize,
+    data: Vec<u32>,
+}
+
+impl FlatFaces {
+    fn new(stride: usize) -> Self {
+        FlatFaces {
+            stride,
+            data: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.data.len() / self.stride
+    }
+
+    fn get(&self, i: usize) -> &[u32] {
+        &self.data[i * self.stride..(i + 1) * self.stride]
+    }
+
+    fn iter(&self) -> std::slice::ChunksExact<'_, u32> {
+        self.data.chunks_exact(self.stride)
+    }
+
+    /// Sort the chunks lexicographically and drop duplicates.
+    fn sort_dedup(&mut self) {
+        let mut chunks: Vec<&[u32]> = self.data.chunks_exact(self.stride).collect();
+        chunks.sort_unstable();
+        chunks.dedup();
+        self.data = chunks.concat();
+    }
+
+    /// Index of `face` among the (sorted) chunks.
+    fn position(&self, face: &[u32]) -> Option<usize> {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.get(mid).cmp(face) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
+            }
+        }
+        None
+    }
+}
+
+/// Sort and dedup every dimension; the closure so far must stay within
+/// [`MAX_CLOSURE_FACES`] distinct simplexes.
+fn compact(by_dim: &mut [FlatFaces]) -> Result<(), CertError> {
+    let mut total = 0usize;
+    for faces in by_dim.iter_mut() {
+        faces.sort_dedup();
+        total += faces.len();
+    }
+    if total > MAX_CLOSURE_FACES {
+        return Err(CertError::TooLarge(format!(
+            "face closure exceeds {MAX_CLOSURE_FACES} simplexes"
+        )));
+    }
+    Ok(())
+}
+
 /// Rebuild the face closure of `facets`, sorted per dimension. Returns
 /// `closure[d]` = the strictly sorted list of `d`-simplexes.
-fn face_closure(facets: &[Vec<u32>]) -> Result<Vec<Vec<Vec<u32>>>, CertError> {
+///
+/// Faces are appended per dimension and compacted whenever the pending
+/// (not yet deduplicated) ones pass [`MAX_CLOSURE_FACES`], so the
+/// buffers stay within a fixed multiple of the cap and `TooLarge` fires
+/// exactly when the distinct closure exceeds it.
+fn face_closure(facets: &[Vec<u32>]) -> Result<Vec<FlatFaces>, CertError> {
     let dim = facets.iter().map(|f| f.len() - 1).max().unwrap_or(0);
-    let mut by_dim: Vec<BTreeSet<Vec<u32>>> = vec![BTreeSet::new(); dim + 1];
-    let mut total = 0usize;
+    let mut by_dim: Vec<FlatFaces> = (1..=dim + 1).map(FlatFaces::new).collect();
+    let mut pending = 0usize;
     for f in facets {
-        if f.len() > 25 {
+        // A facet whose own subsets exceed the cap is rejected before
+        // any of them is enumerated.
+        let subsets = u32::try_from(f.len())
+            .ok()
+            .and_then(|m| 1usize.checked_shl(m))
+            .map(|p| p - 1)
+            .filter(|&s| s <= MAX_CLOSURE_FACES);
+        let Some(subsets) = subsets else {
             return Err(CertError::TooLarge(format!(
                 "facet with {} vertices (subset closure would blow up)",
                 f.len()
             )));
-        }
-        for mask in 1u32..(1u32 << f.len()) {
-            let face: Vec<u32> = f
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| (mask >> i) & 1 == 1)
-                .map(|(_, &v)| v)
-                .collect();
-            let d = face.len() - 1;
-            if by_dim[d].insert(face) {
-                total += 1;
-                if total > MAX_CLOSURE_FACES {
-                    return Err(CertError::TooLarge(format!(
-                        "face closure exceeds {MAX_CLOSURE_FACES} simplexes"
-                    )));
-                }
+        };
+        for mask in 1..=subsets {
+            let faces = &mut by_dim[mask.count_ones() as usize - 1].data;
+            let mut bits = mask;
+            while bits != 0 {
+                faces.push(f[bits.trailing_zeros() as usize]);
+                bits &= bits - 1;
             }
         }
+        pending += subsets;
+        if pending > MAX_CLOSURE_FACES {
+            compact(&mut by_dim)?;
+            pending = 0;
+        }
     }
-    Ok(by_dim
-        .into_iter()
-        .map(|set| set.into_iter().collect())
-        .collect())
+    compact(&mut by_dim)?;
+    Ok(by_dim)
 }
 
 /// Assemble the sparse GF(2) boundary rows `∂_k`: one row per
-/// `k`-simplex, listing the indices of its `k+1` facets in the sorted
-/// `(k−1)`-simplex list.
-fn boundary_rows(k_simplexes: &[Vec<u32>], km1_simplexes: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    k_simplexes
-        .iter()
-        .map(|s| {
-            let mut row: Vec<u32> = (0..s.len())
-                .map(|drop| {
-                    let face: Vec<u32> = s
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != drop)
-                        .map(|(_, &v)| v)
-                        .collect();
-                    km1_simplexes
-                        .binary_search(&face)
-                        .expect("closure contains every face") as u32
-                })
-                .collect();
-            row.sort_unstable();
-            row
-        })
-        .collect()
+/// `k`-simplex (a chunk of stride `k+1`), listing the indices of its
+/// `k+1` facets in the sorted `(k−1)`-simplex list.
+fn boundary_rows(k_simplexes: &FlatFaces, km1_simplexes: &FlatFaces) -> FlatFaces {
+    let stride = k_simplexes.stride;
+    let mut rows = FlatFaces {
+        stride,
+        data: Vec::with_capacity(k_simplexes.data.len()),
+    };
+    let mut face = Vec::with_capacity(stride - 1);
+    for s in k_simplexes.iter() {
+        // Dropping a later vertex gives a lexicographically smaller
+        // face, so descending drop positions yield ascending columns.
+        for drop in (0..stride).rev() {
+            face.clear();
+            face.extend_from_slice(&s[..drop]);
+            face.extend_from_slice(&s[drop + 1..]);
+            let col = km1_simplexes
+                .position(&face)
+                .expect("closure contains every face");
+            rows.data.push(col as u32);
+        }
+    }
+    rows
 }
 
+/// Marks a column with no basis row in the pivot table.
+const NO_PIVOT: u32 = u32::MAX;
+
 /// Verify one [`RankWitness`] against independently rebuilt rows.
-fn verify_witness(w: &RankWitness, rows: &[Vec<u32>], ncols: usize) -> Result<(), CertError> {
+fn verify_witness(w: &RankWitness, rows: &FlatFaces, ncols: usize) -> Result<(), CertError> {
     let k = w.k;
     if w.basis.len() != w.rank as usize || w.combo.len() != w.rank as usize {
         return Err(CertError::Reject(format!(
@@ -216,8 +293,10 @@ fn verify_witness(w: &RankWitness, rows: &[Vec<u32>], ncols: usize) -> Result<()
         )));
     }
     // Each basis row: well-formed, reproduced by its combo, leading
-    // columns pairwise distinct (echelon shape ⇒ independence).
-    let mut leading: Vec<u32> = Vec::with_capacity(w.basis.len());
+    // columns pairwise distinct (echelon shape ⇒ independence). The
+    // pivot table maps each leading column to its basis row.
+    let mut pivot = vec![NO_PIVOT; ncols];
+    let (mut acc, mut next) = (Vec::new(), Vec::new());
     for (i, (basis, combo)) in w.basis.iter().zip(&w.combo).enumerate() {
         if basis.is_empty()
             || !strictly_ascending(basis)
@@ -236,35 +315,41 @@ fn verify_witness(w: &RankWitness, rows: &[Vec<u32>], ncols: usize) -> Result<()
                 rows.len()
             )));
         }
-        let mut acc: Vec<u32> = Vec::new();
+        acc.clear();
         for &r in combo {
-            acc = symm_diff(&acc, &rows[r as usize]);
+            symm_diff_into(&acc, rows.get(r as usize), &mut next);
+            std::mem::swap(&mut acc, &mut next);
         }
         if acc != *basis {
             return Err(CertError::Reject(format!(
                 "∂_{k} basis row {i} is not the XOR of its cited boundary rows"
             )));
         }
-        if leading.contains(&basis[0]) {
+        let slot = &mut pivot[basis[0] as usize];
+        if *slot != NO_PIVOT {
             return Err(CertError::Reject(format!(
                 "∂_{k} basis rows share leading column {} (not echelon)",
                 basis[0]
             )));
         }
-        leading.push(basis[0]);
+        *slot = i as u32;
     }
     // Every original row must reduce to zero against the basis, which
-    // bounds the rank from above by the witnessed value.
+    // bounds the rank from above by the witnessed value. Each step
+    // removes the leading column, so the loop ends.
     for (ri, row) in rows.iter().enumerate() {
-        let mut acc = row.clone();
+        acc.clear();
+        acc.extend_from_slice(row);
         while let Some(&lead) = acc.first() {
-            let Some(bi) = leading.iter().position(|&l| l == lead) else {
+            let bi = pivot[lead as usize];
+            if bi == NO_PIVOT {
                 return Err(CertError::Reject(format!(
                     "∂_{k} row {ri} does not reduce to zero against the basis \
                      (leading column {lead} uncovered): rank is higher than claimed"
                 )));
-            };
-            acc = symm_diff(&acc, &w.basis[bi]);
+            }
+            symm_diff_into(&acc, &w.basis[bi as usize], &mut next);
+            std::mem::swap(&mut acc, &mut next);
         }
     }
     Ok(())
@@ -410,6 +495,23 @@ mod tests {
         cert.ranks[0].basis[1] = vec![0, 2];
         cert.ranks[0].combo[1] = vec![0];
         assert!(matches!(check_homology(&cert), Err(CertError::Reject(_))));
+    }
+
+    #[test]
+    fn oversized_facet_is_too_large_before_enumeration() {
+        // 2^23 − 1 subsets already exceed the cap on their own; the
+        // checker must refuse without materializing any of them.
+        let cert = HomologyCert {
+            label: "huge".into(),
+            facets: vec![(0..23).collect()],
+            betti: vec![0; 23],
+            connectivity: 22,
+            ranks: Vec::new(),
+        };
+        assert!(matches!(
+            check_homology(&cert),
+            Err(CertError::TooLarge(msg)) if msg.contains("23 vertices")
+        ));
     }
 
     #[test]

@@ -167,6 +167,14 @@ impl Cert {
 /// engine.
 pub fn symm_diff(a: &[u32], b: &[u32]) -> Vec<u32> {
     let mut out = Vec::with_capacity(a.len() + b.len());
+    symm_diff_into(a, b, &mut out);
+    out
+}
+
+/// [`symm_diff`] into a caller-owned buffer (cleared first), so a hot
+/// loop can reuse its allocations.
+pub(crate) fn symm_diff_into(a: &[u32], b: &[u32], out: &mut Vec<u32>) {
+    out.clear();
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
         match a[i].cmp(&b[j]) {
@@ -186,7 +194,6 @@ pub fn symm_diff(a: &[u32], b: &[u32]) -> Vec<u32> {
     }
     out.extend_from_slice(&a[i..]);
     out.extend_from_slice(&b[j..]);
-    out
 }
 
 pub(crate) fn strictly_ascending(xs: &[u32]) -> bool {

@@ -177,3 +177,81 @@ fn textual_mutations_are_rejected_end_to_end() {
         assert!(cert.check().is_err(), "tampered rank must be rejected");
     }
 }
+
+/// The rejection message of `result`, or a panic naming what happened
+/// instead.
+fn reject_reason(result: Result<(), CertError>) -> String {
+    match result {
+        Err(CertError::Reject(msg)) => msg,
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+}
+
+/// The 4-cycle 0–1–2–3–0: edges sorted [01], [03], [12], [23] give the
+/// ∂₁ rows [0,1], [0,3], [1,2], [2,3]; rank 3, b̃ = (0, 1).
+fn square_cert() -> HomologyCert {
+    HomologyCert {
+        label: "square".into(),
+        facets: vec![vec![0, 1], vec![0, 3], vec![1, 2], vec![2, 3]],
+        betti: vec![0, 1],
+        connectivity: 0,
+        ranks: vec![RankWitness {
+            k: 1,
+            rank: 3,
+            basis: vec![vec![0, 1], vec![1, 2], vec![2, 3]],
+            combo: vec![vec![0], vec![2], vec![3]],
+        }],
+    }
+}
+
+#[test]
+fn homology_rejects_two_basis_rows_with_one_leading_column() {
+    assert_eq!(check_homology(&circle_cert()), Ok(()));
+    // Both rows are honest XORs of their combos and the rank arithmetic
+    // is unchanged, so only the echelon (pivot) check can object.
+    let mut bad = circle_cert();
+    bad.ranks[0].basis = vec![vec![0, 1], vec![0, 2]];
+    bad.ranks[0].combo = vec![vec![0], vec![1]];
+    let msg = reject_reason(check_homology(&bad));
+    assert!(msg.contains("share leading column 0"), "{msg}");
+}
+
+#[test]
+fn homology_rejects_basis_column_out_of_range() {
+    let mut bad = circle_cert();
+    // The circle has three vertices, so column 3 does not exist.
+    bad.ranks[0].basis[1] = vec![1, 3];
+    let msg = reject_reason(check_homology(&bad));
+    assert!(
+        msg.contains("basis row 1") && msg.contains("below 3"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn homology_rejects_row_stuck_after_elimination_steps() {
+    let good = square_cert();
+    assert_eq!(check_homology(&good), Ok(()));
+    // Drop the [2,3] pivot and make Betti/connectivity agree with rank 2.
+    // Row 1 = [0,3] starts on a covered column and only strands on
+    // column 2 after eliminating [0,1] and then [1,2].
+    let mut bad = good;
+    bad.ranks[0].rank = 2;
+    bad.ranks[0].basis.pop();
+    bad.ranks[0].combo.pop();
+    bad.betti = vec![1, 2];
+    bad.connectivity = -1;
+    let msg = reject_reason(check_homology(&bad));
+    assert!(
+        msg.contains("row 1 ") && msg.contains("leading column 2 uncovered"),
+        "{msg}"
+    );
+}
+
+#[test]
+fn homology_rejects_empty_combo() {
+    let mut bad = circle_cert();
+    bad.ranks[0].combo[0] = Vec::new();
+    let msg = reject_reason(check_homology(&bad));
+    assert!(msg.contains("combo 0"), "{msg}");
+}

@@ -178,10 +178,12 @@ proptest! {
     /// budget admissions): parallel == sequential == every pool size.
     #[test]
     fn rounds_counters_identical_across_pool_sizes(gens in random_generators()) {
+        // Building the input enumerates facets, so it must happen under
+        // the lock too or it lands in a concurrent test's delta.
+        let _guard = counter_lock();
         let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
             .unwrap()
             .to_complex();
-        let _guard = counter_lock();
         let reference = det_delta(|| {
             protocol_complex_rounds_seq(&gens, &input, 2, BUDGET).unwrap();
         });
@@ -206,11 +208,12 @@ proptest! {
 #[test]
 fn repeated_runs_on_one_pool_are_stable() {
     let gens = vec![ksa_graphs::families::cycle(3).unwrap()];
+    let pool = &pools()[2]; // 8 workers on a smaller CI box
+                            // The input build counts enumerated facets: keep it under the lock.
+    let _guard = counter_lock();
     let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
         .unwrap()
         .to_complex();
-    let pool = &pools()[2]; // 8 workers on a smaller CI box
-    let _guard = counter_lock();
     let mut reference: Option<Vec<(&'static str, u64)>> = None;
     for _ in 0..5 {
         let delta = det_delta(|| {
