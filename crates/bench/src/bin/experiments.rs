@@ -52,6 +52,7 @@ use ksa_bench::{
     run_experiments_with_models, ExperimentOutcome, ExperimentTiming, ALL_EXPERIMENTS,
     SMOKE_EXPERIMENTS,
 };
+use ksa_obs::json::{obj, Value};
 use std::process::ExitCode;
 
 /// Filesystem-safe slug of a certificate label (`--certs` file names).
@@ -68,144 +69,126 @@ fn cert_slug(label: &str) -> String {
         .collect()
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A time in ms as JSON, rounded to 0.1 ms.
+fn ms(t: f64) -> Value {
+    Value::Float((t * 10.0).round() / 10.0)
 }
 
-/// Renders the run as the `BENCH_results.json` document (schema 2:
-/// three timing fields per experiment, the folded `counts` summary and
-/// the `metrics` section — the old side file is gone). Hand-rolled: the
-/// build environment has no serde; the shape is flat enough that string
-/// assembly is clearer than a vendored serializer.
-fn render_json(results: &[(ExperimentOutcome, ExperimentTiming)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"ksa-bench-results/2\",\n");
-    out.push_str(&format!(
-        "  \"ksa_threads\": \"{}\",\n",
-        json_escape(&std::env::var("KSA_THREADS").unwrap_or_else(|_| "auto".into()))
-    ));
-    out.push_str("  \"experiments\": [\n");
-    for (i, (outcome, timing)) in results.iter().enumerate() {
-        let checks_failed = outcome.checks.iter().filter(|(_, ok)| !ok).count();
-        out.push_str("    {\n");
-        out.push_str(&format!("      \"id\": \"{}\",\n", json_escape(outcome.id)));
-        out.push_str(&format!("      \"passed\": {},\n", outcome.passed));
-        // Deterministic at any KSA_THREADS (part of the CI diff):
-        // null ⇔ the experiment emits no certificates.
-        out.push_str(&format!(
-            "      \"certified\": {},\n",
-            match outcome.certified {
-                Some(v) => v.to_string(),
-                None => "null".to_string(),
-            }
-        ));
-        // `wall_ms` (on-task elapsed) is the tracked series; the other
-        // two qualify it (see ksa_bench::ExperimentTiming).
-        out.push_str(&format!("      \"wall_ms\": {:.1},\n", timing.wall_ms));
-        out.push_str(&format!("      \"queued_ms\": {:.1},\n", timing.queued_ms));
-        out.push_str(&format!(
-            "      \"exclusive_ms\": {:.1},\n",
-            timing.exclusive_ms
-        ));
-        out.push_str(&format!(
-            "      \"checks_passed\": {},\n",
-            outcome.checks.len() - checks_failed
-        ));
-        out.push_str(&format!("      \"checks_failed\": {checks_failed},\n"));
-        out.push_str(&format!(
-            "      \"skipped_models\": [{}],\n",
-            outcome
-                .skipped_models
-                .iter()
-                .map(|m| format!("\"{}\"", json_escape(m)))
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-        out.push_str("      \"checks\": [\n");
-        for (j, (what, ok)) in outcome.checks.iter().enumerate() {
-            out.push_str(&format!(
-                "        {{\"what\": \"{}\", \"ok\": {}}}{}\n",
-                json_escape(what),
-                ok,
-                if j + 1 < outcome.checks.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("      ]\n");
-        out.push_str(&format!(
-            "    }}{}\n",
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-
+/// The run as the `BENCH_results.json` document (schema 2: three timing
+/// fields per experiment, the folded `counts` summary and the `metrics`
+/// section).
+fn results_json(results: &[(ExperimentOutcome, ExperimentTiming)]) -> Value {
+    let experiments = results
+        .iter()
+        .map(|(outcome, timing)| {
+            let checks_failed = outcome.checks.iter().filter(|(_, ok)| !ok).count();
+            obj(vec![
+                ("id", Value::Str(outcome.id.to_string())),
+                ("passed", Value::Bool(outcome.passed)),
+                // Deterministic at any KSA_THREADS (part of the CI diff):
+                // null ⇔ the experiment emits no certificates.
+                (
+                    "certified",
+                    outcome.certified.map_or(Value::Null, Value::Bool),
+                ),
+                // `wall_ms` (on-task elapsed) is the tracked series; the
+                // other two qualify it (see ksa_bench::ExperimentTiming).
+                ("wall_ms", ms(timing.wall_ms)),
+                ("queued_ms", ms(timing.queued_ms)),
+                ("exclusive_ms", ms(timing.exclusive_ms)),
+                (
+                    "checks_passed",
+                    Value::Int((outcome.checks.len() - checks_failed) as i64),
+                ),
+                ("checks_failed", Value::Int(checks_failed as i64)),
+                (
+                    "skipped_models",
+                    Value::Arr(
+                        outcome
+                            .skipped_models
+                            .iter()
+                            .map(|m| Value::Str(m.clone()))
+                            .collect(),
+                    ),
+                ),
+                (
+                    "checks",
+                    Value::Arr(
+                        outcome
+                            .checks
+                            .iter()
+                            .map(|(what, ok)| {
+                                obj(vec![
+                                    ("what", Value::Str(what.clone())),
+                                    ("ok", Value::Bool(*ok)),
+                                ])
+                            })
+                            .collect(),
+                    ),
+                ),
+            ])
+        })
+        .collect();
     // The per-experiment check-count summary (the former
     // `BENCH_results.json.counts` side file, folded in).
-    out.push_str("  \"counts\": {\n");
-    for (i, (outcome, _)) in results.iter().enumerate() {
-        let failed = outcome.checks.iter().filter(|(_, ok)| !ok).count();
-        out.push_str(&format!(
-            "    \"{}\": \"{}/{}\"{}\n",
-            json_escape(outcome.id),
-            outcome.checks.len() - failed,
-            outcome.checks.len(),
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  },\n");
-
+    let counts = results
+        .iter()
+        .map(|(outcome, _)| {
+            let failed = outcome.checks.iter().filter(|(_, ok)| !ok).count();
+            let total = outcome.checks.len();
+            (
+                outcome.id.to_string(),
+                Value::Str(format!("{}/{total}", total - failed)),
+            )
+        })
+        .collect();
     // Instrumentation counters for the whole run (DESIGN.md §9). The
     // deterministic tier is part of the cross-thread determinism
     // contract and is diffed by CI; everything under "perf" is
     // scheduling-dependent and must be stripped first.
     let metrics = ksa_obs::snapshot();
-    out.push_str("  \"metrics\": {\n    \"deterministic\": {\n");
-    for (i, (name, value)) in metrics.det.iter().enumerate() {
-        out.push_str(&format!(
-            "      \"{name}\": {value}{}\n",
-            if i + 1 < metrics.det.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("    },\n    \"perf\": {\n      \"counters\": {\n");
-    for (i, (name, value)) in metrics.perf.iter().enumerate() {
-        out.push_str(&format!(
-            "        \"{name}\": {value}{}\n",
-            if i + 1 < metrics.perf.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("      },\n      \"workers\": [\n");
-    for (i, w) in metrics.workers.iter().enumerate() {
-        out.push_str(&format!(
-            "        {{\"label\": \"{}\", \"steals\": {}, \"parks\": {}, \"spawns\": {}}}{}\n",
-            json_escape(&w.label),
-            w.steals,
-            w.parks,
-            w.spawns,
-            if i + 1 < metrics.workers.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("      ]\n    }\n  }\n}\n");
-    out
+    let tier = |counters: &[(&str, u64)]| {
+        Value::Obj(
+            counters
+                .iter()
+                .map(|&(name, value)| (name.to_string(), Value::Int(value as i64)))
+                .collect(),
+        )
+    };
+    let workers = metrics
+        .workers
+        .iter()
+        .map(|w| {
+            obj(vec![
+                ("label", Value::Str(w.label.clone())),
+                ("steals", Value::Int(w.steals as i64)),
+                ("parks", Value::Int(w.parks as i64)),
+                ("spawns", Value::Int(w.spawns as i64)),
+            ])
+        })
+        .collect();
+    obj(vec![
+        ("schema", Value::Str("ksa-bench-results/2".into())),
+        (
+            "ksa_threads",
+            Value::Str(std::env::var("KSA_THREADS").unwrap_or_else(|_| "auto".into())),
+        ),
+        ("experiments", Value::Arr(experiments)),
+        ("counts", Value::Obj(counts)),
+        (
+            "metrics",
+            obj(vec![
+                ("deterministic", tier(&metrics.det)),
+                (
+                    "perf",
+                    obj(vec![
+                        ("counters", tier(&metrics.perf)),
+                        ("workers", Value::Arr(workers)),
+                    ]),
+                ),
+            ]),
+        ),
+    ])
 }
 
 fn main() -> ExitCode {
@@ -366,7 +349,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, render_json(&results)) {
+        if let Err(e) = std::fs::write(&path, results_json(&results).to_json_pretty()) {
             eprintln!("failed to write {path}: {e}");
             all_ok = false;
         } else {
@@ -378,5 +361,73 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The `--json` document parses with the shared parser and keeps the
+    /// types the benchmark harness reads from it.
+    #[test]
+    fn json_document_parses_and_keeps_the_read_types() {
+        let outcome = |id, certified, checks: Vec<(String, bool)>| ExperimentOutcome {
+            id,
+            report: String::new(),
+            passed: checks.iter().all(|(_, ok)| *ok),
+            checks,
+            skipped_models: vec!["stars{n=5,s=2}".into()],
+            certified,
+            certs: Vec::new(),
+        };
+        let timing = ExperimentTiming {
+            queued_ms: 2.26,
+            wall_ms: 1.04,
+            exclusive_ms: 0.96,
+        };
+        let results = [
+            (
+                outcome("fig1", None, vec![("γ_eq = \"4\"\n".into(), true)]),
+                timing,
+            ),
+            (
+                outcome(
+                    "rounds",
+                    Some(true),
+                    vec![("a".into(), true), ("b".into(), false)],
+                ),
+                timing,
+            ),
+        ];
+        let text = results_json(&results).to_json_pretty();
+        let doc = ksa_obs::json::parse(text.as_bytes()).expect("valid JSON");
+        let Some(Value::Arr(exps)) = doc.get("experiments") else {
+            panic!("no experiments array in {text}");
+        };
+        assert_eq!(exps.len(), 2);
+        for (e, (passed, failed, certified)) in exps
+            .iter()
+            .zip([(true, 0, Value::Null), (false, 1, Value::Bool(true))])
+        {
+            assert_eq!(e.get("passed"), Some(&Value::Bool(passed)));
+            assert_eq!(e.get("checks_failed"), Some(&Value::Int(failed)));
+            assert_eq!(e.get("certified"), Some(&certified));
+            assert_eq!(e.get("wall_ms"), Some(&Value::Float(1.0)));
+        }
+        let first_check = match exps[0].get("checks") {
+            Some(Value::Arr(checks)) => checks[0].get("what").and_then(Value::as_str),
+            _ => None,
+        };
+        assert_eq!(first_check, Some("γ_eq = \"4\"\n"));
+        assert_eq!(
+            doc.get("counts").and_then(|c| c.get("rounds")),
+            Some(&Value::Str("1/2".into()))
+        );
+        assert!(matches!(
+            doc.get("metrics").and_then(|m| m.get("deterministic")),
+            Some(Value::Obj(_))
+        ));
+        assert!(text.lines().count() > 10, "the document stays multi-line");
     }
 }

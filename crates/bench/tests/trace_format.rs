@@ -3,143 +3,18 @@
 //! anything else silently) and carry the span structure the acceptance
 //! contract names — experiment, round and rank-reduction spans.
 //!
-//! The validator is a minimal recursive-descent JSON syntax checker
-//! (the build environment has no serde): it accepts exactly the JSON
-//! grammar, so a stray comma or an unescaped quote in a span name fails
-//! the test the same way it would fail the trace viewer.
+//! The validator is the workspace's JSON parser (`ksa_obs::json`),
+//! which accepts exactly the RFC 8259 grammar, so a stray comma or an
+//! unescaped quote in a span name fails the test the same way it would
+//! fail the trace viewer.
 
 use std::sync::{Mutex, MutexGuard};
 
-/// Parses one JSON value starting at `i`; returns the index past it.
-fn parse_value(s: &[u8], i: usize) -> Result<usize, String> {
-    let i = skip_ws(s, i);
-    match s.get(i) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(s, i),
-        Some(b'[') => parse_array(s, i),
-        Some(b'"') => parse_string(s, i),
-        Some(b't') => parse_lit(s, i, b"true"),
-        Some(b'f') => parse_lit(s, i, b"false"),
-        Some(b'n') => parse_lit(s, i, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(s, i),
-        Some(c) => Err(format!("unexpected byte {:?} at {i}", *c as char)),
-    }
-}
-
-fn skip_ws(s: &[u8], mut i: usize) -> usize {
-    while matches!(s.get(i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-        i += 1;
-    }
-    i
-}
-
-fn parse_lit(s: &[u8], i: usize, lit: &[u8]) -> Result<usize, String> {
-    if s[i..].starts_with(lit) {
-        Ok(i + lit.len())
-    } else {
-        Err(format!("bad literal at {i}"))
-    }
-}
-
-fn parse_string(s: &[u8], mut i: usize) -> Result<usize, String> {
-    i += 1; // opening quote
-    loop {
-        match s.get(i) {
-            None => return Err("unterminated string".into()),
-            Some(b'"') => return Ok(i + 1),
-            Some(b'\\') => match s.get(i + 1) {
-                Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => i += 2,
-                Some(b'u') => {
-                    if s.len() < i + 6 || !s[i + 2..i + 6].iter().all(u8::is_ascii_hexdigit) {
-                        return Err(format!("bad \\u escape at {i}"));
-                    }
-                    i += 6;
-                }
-                _ => return Err(format!("bad escape at {i}")),
-            },
-            Some(c) if *c < 0x20 => return Err(format!("raw control byte at {i}")),
-            Some(_) => i += 1,
-        }
-    }
-}
-
-fn parse_number(s: &[u8], mut i: usize) -> Result<usize, String> {
-    let start = i;
-    if s.get(i) == Some(&b'-') {
-        i += 1;
-    }
-    while matches!(s.get(i), Some(c) if c.is_ascii_digit()) {
-        i += 1;
-    }
-    if s.get(i) == Some(&b'.') {
-        i += 1;
-        while matches!(s.get(i), Some(c) if c.is_ascii_digit()) {
-            i += 1;
-        }
-    }
-    if matches!(s.get(i), Some(b'e' | b'E')) {
-        i += 1;
-        if matches!(s.get(i), Some(b'+' | b'-')) {
-            i += 1;
-        }
-        while matches!(s.get(i), Some(c) if c.is_ascii_digit()) {
-            i += 1;
-        }
-    }
-    if i == start || (i == start + 1 && s[start] == b'-') {
-        Err(format!("bad number at {start}"))
-    } else {
-        Ok(i)
-    }
-}
-
-fn parse_object(s: &[u8], mut i: usize) -> Result<usize, String> {
-    i = skip_ws(s, i + 1);
-    if s.get(i) == Some(&b'}') {
-        return Ok(i + 1);
-    }
-    loop {
-        i = skip_ws(s, i);
-        if s.get(i) != Some(&b'"') {
-            return Err(format!("expected key at {i}"));
-        }
-        i = skip_ws(s, parse_string(s, i)?);
-        if s.get(i) != Some(&b':') {
-            return Err(format!("expected ':' at {i}"));
-        }
-        i = skip_ws(s, parse_value(s, i + 1)?);
-        match s.get(i) {
-            Some(b',') => i += 1,
-            Some(b'}') => return Ok(i + 1),
-            _ => return Err(format!("expected ',' or '}}' at {i}")),
-        }
-    }
-}
-
-fn parse_array(s: &[u8], mut i: usize) -> Result<usize, String> {
-    i = skip_ws(s, i + 1);
-    if s.get(i) == Some(&b']') {
-        return Ok(i + 1);
-    }
-    loop {
-        i = skip_ws(s, parse_value(s, i)?);
-        match s.get(i) {
-            Some(b',') => i += 1,
-            Some(b']') => return Ok(i + 1),
-            _ => return Err(format!("expected ',' or ']' at {i}")),
-        }
-    }
-}
-
 /// Asserts `s` is exactly one JSON document.
 fn assert_valid_json(s: &str) {
-    let bytes = s.as_bytes();
-    let end = parse_value(bytes, 0).unwrap_or_else(|e| panic!("{e}\n---\n{s}"));
-    assert_eq!(
-        skip_ws(bytes, end),
-        bytes.len(),
-        "trailing garbage after the JSON document"
-    );
+    if let Err(e) = ksa_obs::json::parse(s.as_bytes()) {
+        panic!("{e}\n---\n{s}");
+    }
 }
 
 /// The trace buffer is process-global: `trace_stop` in one test empties

@@ -23,10 +23,12 @@ use crate::bounds::lower::best_lower_bound;
 use crate::bounds::LowerBound;
 use crate::budget::{CancelToken, RunBudget};
 use crate::error::CoreError;
-use crate::task::input_complex;
+use crate::task::{input_complex, Value};
 use ksa_models::ClosedAboveModel;
 use ksa_topology::connectivity::Connectivity;
-use ksa_topology::rounds::protocol_complex_rounds;
+use ksa_topology::rounds::{
+    protocol_complex_rounds, protocol_complex_rounds_cancellable, RoundsComplex,
+};
 use std::fmt;
 
 /// One round of the sweep: the topological measurement next to the
@@ -125,28 +127,9 @@ pub fn cross_check_round_sweep(
     round_sweep_impl(model, value_max, rounds, budget.into(), None)
 }
 
-/// [`cross_check_round_sweep`] with a cooperative [`CancelToken`]: the
-/// token is polled per round in the complex construction and per rank
-/// reduction in the homology sweep — the two places the pipeline spends
-/// its time — and a fired token surfaces as [`CoreError::Cancelled`] /
-/// [`CoreError::DeadlineExceeded`]. A token that never fires leaves the
-/// report bit-identical to [`cross_check_round_sweep`] at any
-/// `KSA_THREADS`.
-///
-/// # Errors
-///
-/// Same conditions as [`cross_check_round_sweep`], plus the two token
-/// variants.
-pub fn cross_check_round_sweep_cancellable(
-    model: &ClosedAboveModel,
-    value_max: usize,
-    rounds: usize,
-    budget: impl Into<RunBudget>,
-    cancel: &CancelToken,
-) -> Result<RoundSweepReport, CoreError> {
-    round_sweep_impl(model, value_max, rounds, budget.into(), Some(cancel))
-}
-
+/// The shared sweep body: builds the round complexes (polling `cancel`
+/// per round), sweeps their homology (polling it per rank reduction)
+/// and assembles one row per round.
 fn round_sweep_impl(
     model: &ClosedAboveModel,
     value_max: usize,
@@ -154,52 +137,75 @@ fn round_sweep_impl(
     budget: RunBudget,
     cancel: Option<&CancelToken>,
 ) -> Result<RoundSweepReport, CoreError> {
-    let n = ksa_models::ObliviousModel::n(model);
-    let input = input_complex(n, value_max, budget.max_executions)?;
-    let rc = match cancel {
-        Some(token) => ksa_topology::rounds::protocol_complex_rounds_cancellable(
-            model.generators(),
-            &input,
-            rounds,
-            budget,
-            token,
-        )?,
-        None => protocol_complex_rounds(model.generators(), &input, rounds, budget)?,
-    };
-    // One chain-engine sweep over all rounds: each round's Betti numbers
-    // and connectivity share a single closure/rank pass, and reduced row
-    // bases carry over between rounds whenever the complexes embed
-    // (DESIGN.md §7.3).
+    let rc = build_rounds(model, value_max, rounds, budget, cancel)?;
+    // One chain-engine pass per round: each round's Betti numbers and
+    // connectivity share a single closure/rank pass (DESIGN.md §7.3).
     let homology = match cancel {
         Some(token) => rc.homology_sweep_cancellable(token)?,
         None => rc.homology_sweep(),
     };
-    let mut per_round = Vec::with_capacity(rounds);
-    for (r, step) in (1..=rounds).zip(homology) {
-        let complex = rc.complex_at(r).expect("round was materialized");
-        let lower = best_lower_bound(model, r)?;
-        let predicted_l = lower
-            .as_ref()
-            .map(|b| b.impossible_k as isize - 1)
-            .unwrap_or(-1);
-        let measured_connectivity = match step.connectivity {
-            Connectivity::Empty => -2,
-            Connectivity::Exactly(k) | Connectivity::AtLeast(k) => k,
-        };
-        per_round.push(RoundCrossCheck {
-            round: r,
-            lower,
-            predicted_l,
-            measured_connectivity,
-            betti: step.betti,
-            facets: complex.facet_count(),
-            interned_views: rc.table_at(r).expect("round was materialized").len(),
-        });
-    }
+    let per_round = (1..=rounds)
+        .zip(homology)
+        .map(|(r, step)| {
+            let measured_connectivity = match step.connectivity {
+                Connectivity::Empty => -2,
+                Connectivity::Exactly(k) | Connectivity::AtLeast(k) => k,
+            };
+            round_row(model, &rc, r, measured_connectivity, step.betti)
+        })
+        .collect::<Result<_, _>>()?;
     Ok(RoundSweepReport {
-        n,
+        n: ksa_models::ObliviousModel::n(model),
         value_max,
         per_round,
+    })
+}
+
+/// The `rounds`-round iterated protocol complexes of `model` over
+/// `Ψ(Π, [0, value_max])`, admitted against `budget`.
+fn build_rounds(
+    model: &ClosedAboveModel,
+    value_max: usize,
+    rounds: usize,
+    budget: RunBudget,
+    cancel: Option<&CancelToken>,
+) -> Result<RoundsComplex<Value>, CoreError> {
+    let n = ksa_models::ObliviousModel::n(model);
+    let input = input_complex(n, value_max, budget.max_executions)?;
+    Ok(match cancel {
+        Some(token) => {
+            protocol_complex_rounds_cancellable(model.generators(), &input, rounds, budget, token)?
+        }
+        None => protocol_complex_rounds(model.generators(), &input, rounds, budget)?,
+    })
+}
+
+/// One row of the sweep: the round's measured homology next to the
+/// lower bound and size indicators — shared by the plain and the
+/// certified sweep.
+fn round_row(
+    model: &ClosedAboveModel,
+    rc: &RoundsComplex<Value>,
+    round: usize,
+    measured_connectivity: isize,
+    betti: Vec<usize>,
+) -> Result<RoundCrossCheck, CoreError> {
+    let lower = best_lower_bound(model, round)?;
+    let predicted_l = lower
+        .as_ref()
+        .map(|b| b.impossible_k as isize - 1)
+        .unwrap_or(-1);
+    Ok(RoundCrossCheck {
+        round,
+        lower,
+        predicted_l,
+        measured_connectivity,
+        betti,
+        facets: rc
+            .complex_at(round)
+            .expect("round was materialized")
+            .facet_count(),
+        interned_views: rc.table_at(round).expect("round was materialized").len(),
     })
 }
 
@@ -209,9 +215,8 @@ fn round_sweep_impl(
 /// path ([`ksa_topology::chain::reduced_betti_certified`]), whose
 /// witness a standalone checker can re-verify from the facet list
 /// alone. The report is bit-identical to the uncertified sweep — the
-/// certified path runs the same engine in the same canonical order, it
-/// just cannot reuse reduced bases across rounds, so it trades the
-/// sweep's carry-over for per-round witnesses.
+/// certified path runs the same engine in the same canonical order and
+/// additionally records per-round witnesses.
 ///
 /// Certificates are labelled `"<label> r=<round>"`, round 1 first.
 ///
@@ -225,40 +230,23 @@ pub fn cross_check_round_sweep_certified(
     budget: impl Into<RunBudget>,
     label: &str,
 ) -> Result<(RoundSweepReport, Vec<ksa_cert::HomologyCert>), CoreError> {
-    let budget = budget.into();
-    let n = ksa_models::ObliviousModel::n(model);
-    let input = input_complex(n, value_max, budget.max_executions)?;
-    let rc = protocol_complex_rounds(model.generators(), &input, rounds, budget)?;
+    let rc = build_rounds(model, value_max, rounds, budget.into(), None)?;
     let mut per_round = Vec::with_capacity(rounds);
     let mut certs = Vec::with_capacity(rounds);
     for r in 1..=rounds {
         let complex = rc.complex_at(r).expect("round was materialized");
-        let lower = best_lower_bound(model, r)?;
-        let predicted_l = lower
-            .as_ref()
-            .map(|b| b.impossible_k as isize - 1)
-            .unwrap_or(-1);
         let (betti, cert) =
             ksa_topology::chain::reduced_betti_certified(complex, &format!("{label} r={r}"))
                 .expect("protocol complexes are never void");
         // `HomologyCert::connectivity` uses the same convention as
         // `Connectivity::from_reduced_betti`: first nonzero index minus
         // one, or the dimension when the table vanishes.
-        let measured_connectivity = cert.connectivity as isize;
-        per_round.push(RoundCrossCheck {
-            round: r,
-            lower,
-            predicted_l,
-            measured_connectivity,
-            betti,
-            facets: complex.facet_count(),
-            interned_views: rc.table_at(r).expect("round was materialized").len(),
-        });
+        per_round.push(round_row(model, &rc, r, cert.connectivity as isize, betti)?);
         certs.push(cert);
     }
     Ok((
         RoundSweepReport {
-            n,
+            n: ksa_models::ObliviousModel::n(model),
             value_max,
             per_round,
         },
@@ -295,9 +283,13 @@ pub fn cross_check_round_sweep_by_name(
 }
 
 /// [`cross_check_round_sweep_by_name`] with a cooperative
-/// [`CancelToken`] (see [`cross_check_round_sweep_cancellable`]) — the
-/// entry point the analysis server's `rounds` query drives, so client
-/// deadlines reach every stage of the pipeline.
+/// [`CancelToken`] — the entry point the analysis server's `rounds`
+/// query drives, so client deadlines reach every stage of the pipeline.
+/// The token is polled per round in the complex construction and per
+/// rank reduction in the homology sweep, and a fired token surfaces as
+/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`]. A token
+/// that never fires leaves the report bit-identical to
+/// [`cross_check_round_sweep_by_name`] at any `KSA_THREADS`.
 ///
 /// # Errors
 ///
@@ -339,12 +331,9 @@ mod tests {
 
     #[test]
     fn silent_token_matches_plain_sweep() {
-        let model = named::simple_ring(3).unwrap();
-        let plain = cross_check_round_sweep(&model, 1, 2, 1_000_000u128).unwrap();
+        let plain =
+            cross_check_round_sweep(&named::simple_ring(3).unwrap(), 1, 2, 1_000_000u128).unwrap();
         let token = CancelToken::new();
-        let cancellable =
-            cross_check_round_sweep_cancellable(&model, 1, 2, 1_000_000u128, &token).unwrap();
-        assert_eq!(plain, cancellable);
         let by_name =
             cross_check_round_sweep_by_name_cancellable("ring{n=3}", 1, 2, 1_000_000u128, &token)
                 .unwrap();
@@ -355,18 +344,14 @@ mod tests {
     fn fired_token_interrupts_the_sweep() {
         let token = CancelToken::new();
         token.cancel();
-        let err = cross_check_round_sweep_cancellable(
-            &named::simple_ring(3).unwrap(),
-            1,
-            2,
-            1_000_000u128,
-            &token,
-        )
-        .unwrap_err();
-        assert!(matches!(err, CoreError::Cancelled));
         let err =
             cross_check_round_sweep_by_name_cancellable("ring{n=3}", 1, 2, 1_000_000u128, &token)
                 .unwrap_err();
+        assert!(matches!(err, CoreError::Cancelled));
+        // Past the by-name entry poll, the pipeline's own polls stop it.
+        let model = named::simple_ring(3).unwrap();
+        let err =
+            round_sweep_impl(&model, 1, 2, RunBudget::new(1_000_000), Some(&token)).unwrap_err();
         assert!(matches!(err, CoreError::Cancelled));
     }
 

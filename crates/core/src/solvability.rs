@@ -435,7 +435,7 @@ pub fn decide_one_round(
 /// # Errors
 ///
 /// Same conditions as [`decide_one_round`], plus the two token variants.
-pub fn decide_one_round_cancellable(
+fn decide_one_round_cancellable(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,

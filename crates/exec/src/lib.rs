@@ -5,7 +5,7 @@
 //! `parallel`-feature hot path (the exhaustive checker, the solvability
 //! CSP search, the combinatorial-number searches).
 //!
-//! Why not keep the static-chunking `vendor/rayon` shim? The workspace's
+//! Why work stealing rather than static chunking? The workspace's
 //! search trees are *irregular*: one branch-and-bound subtree dies at
 //! depth 2 while its sibling explodes, one CSP variable ordering finishes
 //! in milliseconds while another thrashes. Static chunking serializes
@@ -32,10 +32,7 @@
 //!   order, so parallel and sequential results are byte-identical for
 //!   the associative operators the workspace uses, at any thread count.
 //!
-//! The iterator surface is API-identical to the workspace's
-//! `vendor/rayon` shim, which remains the drop-in fallback and the
-//! template for slotting crates.io rayon back in when a registry is
-//! available (see `vendor/README.md`).
+//! The iterator surface follows rayon's trait shapes and method names.
 //!
 //! ## Example
 //!

@@ -1,5 +1,9 @@
-//! A small, dependency-free JSON value with a depth-limited parser and a
-//! byte-stable serializer.
+//! The workspace's one JSON implementation: a small, dependency-free
+//! value with a depth-limited parser and a byte-stable serializer.
+//! It is compiled whatever the `enabled` feature says; the trace export
+//! streams through its string escaper, `experiments --json` renders
+//! through [`Value::to_json_pretty`], and `ksa-server` re-exports the
+//! module as `ksa_server::json` for its wire protocol.
 //!
 //! The server's crash-safe cache stores *serialized response strings*
 //! and promises cold-vs-cached responses are byte-identical (DESIGN.md
@@ -10,9 +14,14 @@
 //!
 //! The parser is the hostile-input face of the server — it runs on
 //! whatever bytes a client framed — so recursion is capped at
-//! [`MAX_DEPTH`] and every malformed input is an `Err`, never a panic.
+//! [`MAX_DEPTH`], numbers follow RFC 8259's grammar exactly, and every
+//! malformed input is an `Err`, never a panic.
 
 use std::fmt::Write as _;
+
+/// Column budget of [`Value::to_json_pretty`]: a container of scalars
+/// stays on one line when that line fits.
+const PRETTY_WIDTH: usize = 100;
 
 /// Maximum nesting depth the parser accepts. Legitimate protocol
 /// messages nest 3–4 levels; 64 leaves headroom while keeping a hostile
@@ -78,6 +87,67 @@ impl Value {
         out
     }
 
+    /// Serialize for people: two-space indentation, `": "` and `", "`
+    /// separators, a trailing newline, and each container that holds
+    /// only scalars (or empty containers) kept on one line when the line
+    /// fits in 100 columns. It encodes the same value as
+    /// [`Value::to_json`]; only the whitespace differs.
+    #[must_use]
+    pub fn to_json_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write_pretty(&mut out, 0);
+        out.push('\n');
+        out
+    }
+
+    fn write_pretty(&self, out: &mut String, indent: usize) {
+        let (open, close, members): (char, char, Vec<(Option<&str>, &Value)>) = match self {
+            Value::Arr(items) => ('[', ']', items.iter().map(|v| (None, v)).collect()),
+            Value::Obj(members) => (
+                '{',
+                '}',
+                members.iter().map(|(k, v)| (Some(k.as_str()), v)).collect(),
+            ),
+            scalar => return scalar.write_json(out),
+        };
+        let write_member = |out: &mut String, key: Option<&str>, value: &Value, indent| {
+            if let Some(key) = key {
+                write_escaped(out, key);
+                out.push_str(": ");
+            }
+            value.write_pretty(out, indent);
+        };
+        let nested = members.iter().any(|(_, v)| match v {
+            Value::Arr(items) => !items.is_empty(),
+            Value::Obj(members) => !members.is_empty(),
+            _ => false,
+        });
+        let (line_start, mark) = (out.rfind('\n').map_or(0, |i| i + 1), out.len());
+        if !nested {
+            out.push(open);
+            for (i, (key, value)) in members.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                write_member(out, *key, value, indent);
+            }
+            out.push(close);
+            if out[line_start..].chars().count() <= PRETTY_WIDTH {
+                return;
+            }
+            out.truncate(mark);
+        }
+        out.push(open);
+        for (i, (key, value)) in members.iter().enumerate() {
+            out.push_str(if i > 0 { ",\n" } else { "\n" });
+            out.extend(std::iter::repeat_n(' ', indent + 2));
+            write_member(out, *key, value, indent + 2);
+        }
+        out.push('\n');
+        out.extend(std::iter::repeat_n(' ', indent));
+        out.push(close);
+    }
+
     fn write_json(&self, out: &mut String) {
         match self {
             Value::Null => out.push_str("null"),
@@ -122,7 +192,8 @@ impl Value {
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as a quoted JSON string literal.
+pub(crate) fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -264,21 +335,43 @@ impl Parser<'_> {
         }
     }
 
+    /// One number per RFC 8259: `-? (0 | [1-9][0-9]*) (. [0-9]+)?
+    /// ([eE] [+-]? [0-9]+)?`. Integers become [`Value::Int`], anything
+    /// with a fraction or exponent [`Value::Float`].
     fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
+        let bad = |p: &Self| {
+            let end = (p.pos + 1).min(p.bytes.len());
+            let text = String::from_utf8_lossy(&p.bytes[start..end]);
+            format!("bad number `{text}` at offset {start}")
+        };
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(bad(self)),
+        }
         let mut fractional = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    fractional = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            fractional = true;
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(bad(self));
             }
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            fractional = true;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(bad(self));
+            }
+            self.digits();
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice");
         if fractional {
@@ -294,6 +387,13 @@ impl Parser<'_> {
                 .parse()
                 .map_err(|_| format!("bad integer `{text}` at offset {start}"))?;
             Ok(Value::Int(i))
+        }
+    }
+
+    /// Skips a run of ASCII digits.
+    fn digits(&mut self) {
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
         }
     }
 
@@ -368,9 +468,13 @@ impl Parser<'_> {
         if end > self.bytes.len() {
             return Err("truncated \\u escape".to_string());
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".to_string())?;
+        let hex = &self.bytes[self.pos..end];
+        // `from_str_radix` alone would also take a leading `+`.
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err("bad \\u escape".to_string());
+        }
+        let hex = std::str::from_utf8(hex).expect("ascii hex digits");
+        let v = u32::from_str_radix(hex, 16).expect("four hex digits fit in u32");
         self.pos = end;
         Ok(v)
     }
@@ -418,6 +522,7 @@ mod tests {
         assert_eq!(back, v);
         assert!(parse(br#""\ud83d""#).is_err(), "unpaired surrogate");
         assert!(parse(br#""\uZZZZ""#).is_err());
+        assert!(parse(br#""\u+abc""#).is_err(), "sign inside \\u");
         assert!(parse(b"\"raw\x01control\"").is_err());
     }
 
@@ -438,6 +543,14 @@ mod tests {
             b"\"unterminated",
             b"\xff\xfe",
             b"{\"a\":1,}",
+            // RFC 8259 number grammar: no leading zeros, digits on both
+            // sides of `.`, and an exponent with digits.
+            b"01",
+            b"-01",
+            b"00",
+            b"1.",
+            b"-.5",
+            b"1.e5",
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should be rejected");
         }
@@ -471,6 +584,30 @@ mod tests {
         assert_eq!(parse(b"1e3").unwrap(), Value::Float(1000.0));
         assert!(parse(b"99999999999999999999").is_err(), "i64 overflow");
         assert_eq!(Value::Float(f64::NAN).to_json(), "null");
+    }
+
+    #[test]
+    fn pretty_form_reparses_and_keeps_short_scalar_containers_inline() {
+        let value = obj(vec![
+            ("id", Value::Str("rounds".into())),
+            ("empty", Value::Arr(Vec::new())),
+            (
+                "checks",
+                Value::Arr(vec![obj(vec![
+                    ("what", Value::Str("a".into())),
+                    ("ok", Value::Bool(true)),
+                ])]),
+            ),
+            ("long", Value::Arr(vec![Value::Int(1234567890); 12])),
+        ]);
+        let pretty = value.to_json_pretty();
+        assert_eq!(parse(pretty.as_bytes()).unwrap(), value);
+        assert!(pretty.starts_with("{\n  \"id\": \"rounds\",\n  \"empty\": [],\n"));
+        assert!(pretty.contains("\n    {\"what\": \"a\", \"ok\": true}\n  ]"));
+        // Past the column budget a scalar container breaks one per line.
+        assert!(pretty.contains("\"long\": [\n    1234567890,\n"));
+        assert!(pretty.ends_with("\n  ]\n}\n"));
+        assert_eq!(Value::Null.to_json_pretty(), "null\n");
     }
 
     #[test]

@@ -36,8 +36,17 @@
 //! optimizer deletes: counters vanish, [`span`] returns a unit guard and
 //! never evaluates its name closure, [`snapshot`] returns empty tiers.
 //! Downstream crates therefore call the API unconditionally.
+//!
+//! # JSON
+//!
+//! [`json`] is the workspace's one JSON value, parser and serializer.
+//! It is compiled regardless of the feature: the trace export escapes
+//! through it, and the bench and server crates build their documents
+//! with it.
 
 use std::borrow::Cow;
+
+pub mod json;
 
 /// The deterministic tier: work performed, invariant across
 /// `KSA_THREADS` by the determinism contract.
@@ -305,9 +314,11 @@ impl MetricsSnapshot {
 
 #[cfg(feature = "enabled")]
 mod imp {
+    use super::json::write_escaped;
     use super::{Counter, MetricsSnapshot, PerfCounter, WorkerPerf};
     use std::borrow::Cow;
     use std::cell::Cell;
+    use std::fmt::Write as _;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
     use std::time::Instant;
@@ -556,30 +567,38 @@ mod imp {
         let mut first = true;
         for (tid, name) in &state.threads {
             push_event_sep(&mut out, &mut first);
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {tid}, \"name\": \"thread_name\", \
-                 \"args\": {{\"name\": \"{}\"}}}}",
-                escape(name)
-            ));
+                 \"args\": {{\"name\": "
+            );
+            write_escaped(&mut out, name);
+            out.push_str("}}");
         }
         for ev in &state.events {
             push_event_sep(&mut out, &mut first);
-            out.push_str(&format!(
-                "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": \"{}\", \"cat\": \"{}\", \
-                 \"ts\": {:.3}, \"dur\": {:.3}",
-                ev.tid,
-                escape(&ev.name),
-                escape(ev.cat),
+            let _ = write!(
+                out,
+                "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"name\": ",
+                ev.tid
+            );
+            write_escaped(&mut out, &ev.name);
+            out.push_str(", \"cat\": ");
+            write_escaped(&mut out, ev.cat);
+            let _ = write!(
+                out,
+                ", \"ts\": {:.3}, \"dur\": {:.3}",
                 ev.ts_ns as f64 / 1_000.0,
                 ev.dur_ns as f64 / 1_000.0,
-            ));
+            );
             if !ev.args.is_empty() {
                 out.push_str(", \"args\": {");
                 for (i, (key, value)) in ev.args.iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    out.push_str(&format!("\"{}\": {value}", escape(key)));
+                    write_escaped(&mut out, key);
+                    let _ = write!(out, ": {value}");
                 }
                 out.push('}');
             }
@@ -596,19 +615,6 @@ mod imp {
             out.push(',');
         }
         out.push_str("\n    ");
-    }
-
-    fn escape(s: &str) -> String {
-        let mut out = String::with_capacity(s.len());
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out
     }
 }
 

@@ -19,6 +19,10 @@
 pub mod cache;
 pub mod client;
 pub mod framing;
-pub mod json;
 pub mod protocol;
 pub mod server;
+
+/// The workspace's one JSON value, parser and serializer. It lives in
+/// `ksa-obs` at the bottom of the stack; the re-export keeps the
+/// `ksa_server::json` path.
+pub use ksa_obs::json;

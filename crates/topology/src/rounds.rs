@@ -29,6 +29,7 @@
 //! 1/2/8.
 
 use crate::complex::Complex;
+use crate::connectivity::Connectivity;
 use crate::error::TopologyError;
 use crate::intern::{InternedView, ViewTable};
 use crate::interpretation::FlatView;
@@ -96,24 +97,18 @@ impl<V: View> RoundsComplex<V> {
         self.input_table.len() + self.tables.iter().map(ViewTable::len).sum::<usize>()
     }
 
-    /// The homology of every round's complex, round 1 first, computed on
-    /// one [`ChainSweep`](crate::chain::ChainSweep): each round's Betti
-    /// numbers and connectivity come from a single shared chain build
-    /// (no separate closure/rank passes per query), and the sweep
-    /// carries its reduced row bases forward across rounds where one
-    /// round's boundary rows embed into the next round's
-    /// ([`SweepStep::resumed`](crate::chain::SweepStep)). Canonical
-    /// re-interning usually reshuffles the ids between rounds, in which
-    /// case the embedding check fails and each round reduces fresh —
-    /// DESIGN.md §7.3 records the measured behavior.
+    /// The homology of every round's complex, round 1 first: one
+    /// [`ChainComplex`](crate::chain::ChainComplex) per round, whose
+    /// Betti numbers and connectivity share a single closure and rank
+    /// pass.
     ///
     /// Verdicts are bit-identical to calling
     /// [`reduced_betti_numbers`](crate::homology::reduced_betti_numbers)
     /// and [`connectivity`](crate::connectivity::connectivity) on each
     /// round's complex (proptest-pinned in `tests/chain_engine.rs`).
     pub fn homology_sweep(&self) -> Vec<crate::chain::SweepStep> {
-        let mut sweep = crate::chain::ChainSweep::new();
-        self.complexes.iter().map(|c| sweep.push(c)).collect()
+        self.sweep(None)
+            .expect("no token supplied, the sweep cannot be interrupted")
     }
 
     /// [`homology_sweep`](Self::homology_sweep) with a cooperative
@@ -129,10 +124,39 @@ impl<V: View> RoundsComplex<V> {
         &self,
         cancel: &CancelToken,
     ) -> Result<Vec<crate::chain::SweepStep>, TopologyError> {
-        let mut sweep = crate::chain::ChainSweep::with_cancel(cancel.clone());
+        self.sweep(Some(cancel))
+    }
+
+    /// The shared sweep body. With a token, each round polls it on entry
+    /// and before every `rank_boundary(k)`, reducing one dimension at a
+    /// time; without one, [`ChainComplex::reduced_betti`] fans the
+    /// dimensions out (parallel feature). The ranks, and so the Betti
+    /// vector, are the same either way.
+    ///
+    /// [`ChainComplex::reduced_betti`]: crate::chain::ChainComplex::reduced_betti
+    fn sweep(
+        &self,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Vec<crate::chain::SweepStep>, TopologyError> {
         self.complexes
             .iter()
-            .map(|c| sweep.try_push(c).map_err(TopologyError::from))
+            .map(|complex| {
+                if let Some(token) = cancel {
+                    token.checkpoint()?;
+                }
+                let mut chain = crate::chain::ChainComplex::from_complex(complex);
+                if let Some(token) = cancel {
+                    for k in 1..=chain.dim().max(0) as usize {
+                        token.checkpoint()?;
+                        chain.rank_boundary(k);
+                    }
+                }
+                let betti = chain.reduced_betti();
+                Ok(crate::chain::SweepStep {
+                    connectivity: Connectivity::from_reduced_betti(&betti),
+                    betti,
+                })
+            })
             .collect()
     }
 
@@ -322,8 +346,8 @@ fn round_step<'a>(
 /// Shared driver for the sequential and parallel entry points. The
 /// per-round iteration is the pipeline's coarse poll point: a fired
 /// [`CancelToken`] stops before the next round's fan-out (finer polls —
-/// per rank reduction — live in the [`ChainSweep`](crate::chain::ChainSweep)
-/// that consumes the result).
+/// per rank reduction — live in [`RoundsComplex::homology_sweep_cancellable`],
+/// which consumes the result).
 fn rounds_driver<V: View>(
     gens: &[Digraph],
     input: &Complex<V>,

@@ -163,7 +163,7 @@ mod portfolio {
 
     use super::{step_ok, Simplex, View};
     use ksa_exec::ShardedSet;
-    use ksa_graphs::cancel::{CancelToken, Interrupted};
+    use ksa_graphs::cancel::CancelToken;
     use std::sync::Mutex;
 
     enum Search {
@@ -255,16 +255,7 @@ mod portfolio {
     /// Race the ordering heuristics; first complete search wins and
     /// cancels the rest. Returns the winning verdict plus the shared
     /// dead-table size (the exhaustion statistic for certificates).
-    ///
-    /// The race flag is a *child* [`CancelToken`] of `external` (when
-    /// supplied): the winner cancels only the child, while an external
-    /// cancellation or deadline reaches every strategy through the same
-    /// per-node poll and surfaces as `Err` — the one cancellation idiom
-    /// shared with the CSP portfolio (DESIGN.md §12.2).
-    pub(super) fn search<V: View>(
-        facets: &[Simplex<V>],
-        external: Option<&CancelToken>,
-    ) -> Result<(Option<Vec<usize>>, u64), Interrupted> {
+    pub(super) fn search<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
         let r = facets.len();
         let width = facets[0].len();
         // Pairwise intersection sizes drive both heuristics: ridge
@@ -297,10 +288,7 @@ mod portfolio {
         alternates.retain(|ord| *ord != canonical);
 
         let dead: ShardedSet<u64> = ShardedSet::new();
-        let cancel = match external {
-            Some(token) => token.child(),
-            None => CancelToken::new(),
-        };
+        let cancel = CancelToken::new();
         let winner: Mutex<Option<Option<Vec<usize>>>> = Mutex::new(None);
         let report = |verdict: Option<Vec<usize>>| -> bool {
             let mut slot = winner.lock().unwrap_or_else(|p| p.into_inner());
@@ -341,17 +329,10 @@ mod portfolio {
 
         let states = dead.len() as u64;
         match winner.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            Some(verdict) => Ok((verdict, states)),
-            None => {
-                // No strategy completed. With an external token that is
-                // the cancellation surfacing; without one it is
-                // unreachable (a race cancel implies a reported winner),
-                // so fall back to the oracle rather than panic.
-                if let Some(token) = external {
-                    token.checkpoint()?;
-                }
-                Ok(super::search_seq(facets))
-            }
+            Some(verdict) => (verdict, states),
+            // Unreachable (the race flag only fires after a winner
+            // reported), so fall back to the oracle rather than panic.
+            None => super::search_seq(facets),
         }
     }
 }
@@ -359,27 +340,13 @@ mod portfolio {
 /// Decides shellability: picked facet indices (or `None`) plus the
 /// dead-state count, dispatching to the portfolio when available.
 fn search<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
-    search_cancellable(facets, None).expect("no token supplied, search cannot be interrupted")
-}
-
-/// [`search`] with an optional external [`CancelToken`]: under
-/// `parallel` the token parents the portfolio's race flag (per-node poll
-/// granularity); without `parallel` it is polled once before the
-/// sequential search (which has no internal poll points).
-fn search_cancellable<V: View>(
-    facets: &[Simplex<V>],
-    cancel: Option<&ksa_graphs::cancel::CancelToken>,
-) -> Result<(Option<Vec<usize>>, u64), ksa_graphs::cancel::Interrupted> {
     #[cfg(feature = "parallel")]
     {
-        portfolio::search(facets, cancel)
+        portfolio::search(facets)
     }
     #[cfg(not(feature = "parallel"))]
     {
-        if let Some(token) = cancel {
-            token.checkpoint()?;
-        }
-        Ok(search_seq(facets))
+        search_seq(facets)
     }
 }
 
@@ -404,30 +371,6 @@ pub fn find_shelling_order<V: View>(
         return Ok(Some(facets));
     }
     let (picked, _states) = search(&facets);
-    Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
-}
-
-/// [`find_shelling_order`] with a cooperative
-/// [`CancelToken`](ksa_graphs::cancel::CancelToken): the token parents
-/// the portfolio's race flag, so an external cancellation or deadline
-/// stops every strategy at its next per-node poll and surfaces as an
-/// error. A token that never fires leaves the verdict bit-identical to
-/// [`find_shelling_order`] at any `KSA_THREADS`.
-///
-/// # Errors
-///
-/// As for [`find_shelling_order`], plus [`TopologyError::Cancelled`] /
-/// [`TopologyError::DeadlineExceeded`].
-pub fn find_shelling_order_cancellable<V: View>(
-    complex: &Complex<V>,
-    cancel: &ksa_graphs::cancel::CancelToken,
-) -> Result<Option<Vec<Simplex<V>>>, TopologyError> {
-    let facets = search_facets(complex)?;
-    if facets.len() == 1 {
-        cancel.checkpoint()?;
-        return Ok(Some(facets));
-    }
-    let (picked, _states) = search_cancellable(&facets, Some(cancel))?;
     Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
 }
 

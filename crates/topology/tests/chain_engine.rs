@@ -7,19 +7,22 @@
 //!   `connectivity(c)` verdict;
 //! * skeleton-reuse queries == homology of the materialized
 //!   `c.skeleton(k)`;
-//! * `ChainSweep` verdicts == per-complex verdicts, on growing
-//!   filtrations (where the bases resume) and on arbitrary sequences
-//!   (where the embedding check must fall back).
+//! * every round of `RoundsComplex::homology_sweep` == the references
+//!   on that round's complex, over small random closed-above models.
 
 #![cfg(feature = "parallel")]
 
 use ksa_exec::ThreadPool;
-use ksa_topology::chain::{ChainComplex, ChainSweep};
+use ksa_graphs::cancel::CancelToken;
+use ksa_graphs::Digraph;
+use ksa_topology::chain::ChainComplex;
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::{
     connectivity, connectivity_seq, connectivity_up_to, Connectivity,
 };
-use ksa_topology::homology::{reduced_betti_numbers, reduced_betti_numbers_seq};
+use ksa_topology::homology::reduced_betti_numbers_seq;
+use ksa_topology::pseudosphere::Pseudosphere;
+use ksa_topology::rounds::protocol_complex_rounds_seq;
 use ksa_topology::simplex::{Simplex, Vertex};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -38,6 +41,28 @@ fn small_complex() -> impl Strategy<Value = Complex<u8>> {
             .expect("btree keys are distinct colors")
     });
     prop::collection::vec(simplex, 1..7).prop_map(Complex::from_facets)
+}
+
+/// Strategy: the generators of a closed-above model on 3 processes.
+fn random_generators() -> impl Strategy<Value = Vec<Digraph>> {
+    let graph = prop::collection::btree_set((0usize..3, 0usize..3), 0..7)
+        .prop_map(|edges| Digraph::from_edges(3, &edges.into_iter().collect::<Vec<_>>()).unwrap());
+    prop::collection::vec(graph, 1..=2)
+}
+
+/// Strategy: a chromatic input pseudosphere on 3 processes.
+fn random_input() -> impl Strategy<Value = Complex<u32>> {
+    prop::collection::vec(prop::collection::btree_set(0u32..3, 1..=2), 3..=3).prop_map(|views| {
+        Pseudosphere::new(
+            views
+                .into_iter()
+                .enumerate()
+                .map(|(p, vs)| (p, vs.into_iter().collect()))
+                .collect(),
+        )
+        .unwrap()
+        .to_complex()
+    })
 }
 
 /// The truncation of a full connectivity verdict at `k`: what
@@ -97,47 +122,33 @@ proptest! {
         }
     }
 
-    /// A growing filtration (each step unions one more facet): the sweep
-    /// must resume its bases from step 2 on and still reproduce the
-    /// per-complex verdicts exactly.
+    /// Each round of the sweep reproduces the engine-free references on
+    /// that round's complex; a silent token changes nothing. The facet
+    /// budget keeps the dense reference cheap: larger models are skipped.
     #[test]
-    fn sweep_on_growing_filtrations(c in small_complex()) {
-        let facets: Vec<Simplex<u8>> = c.facets().cloned().collect();
-        let steps: Vec<Complex<u8>> = (1..=facets.len())
-            .map(|t| Complex::from_facets(facets[..t].iter().cloned()))
+    fn round_sweep_matches_seq_reference(
+        gens in random_generators(),
+        input in random_input(),
+        rounds in 1usize..=2,
+    ) {
+        let rc = protocol_complex_rounds_seq(&gens, &input, rounds, 2_000u128);
+        prop_assume!(rc.is_ok());
+        let rc = rc.unwrap();
+        let reference: Vec<_> = rc
+            .complexes()
+            .iter()
+            .map(|c| (reduced_betti_numbers_seq(c), connectivity_seq(c)))
             .collect();
         for pool in pools() {
-            let results = pool.install(|| {
-                let mut sweep = ChainSweep::new();
-                steps.iter().map(|s| sweep.push(s)).collect::<Vec<_>>()
+            let (steps, cancellable) = pool.install(|| {
+                (rc.homology_sweep(), rc.homology_sweep_cancellable(&CancelToken::new()))
             });
-            for (t, (step, complex)) in results.iter().zip(&steps).enumerate() {
-                prop_assert_eq!(
-                    &step.betti,
-                    &reduced_betti_numbers_seq(complex),
-                    "pool size {}, step {t}", pool.num_threads()
-                );
-                prop_assert_eq!(
-                    step.connectivity,
-                    connectivity_seq(complex),
-                    "pool size {}, step {t}", pool.num_threads()
-                );
-                if t > 1 {
-                    prop_assert!(step.resumed, "pool size {}, step {t}", pool.num_threads());
-                }
+            prop_assert_eq!(cancellable.as_ref(), Ok(&steps), "pool size {}", pool.num_threads());
+            prop_assert_eq!(steps.len(), rounds);
+            for (t, (step, (betti, conn))) in steps.iter().zip(&reference).enumerate() {
+                prop_assert_eq!(&step.betti, betti, "pool size {}, round {}", pool.num_threads(), t + 1);
+                prop_assert_eq!(step.connectivity, *conn, "pool size {}, round {}", pool.num_threads(), t + 1);
             }
-        }
-    }
-
-    /// Arbitrary (non-nesting) sequences: the embedding check must fall
-    /// back rather than resume into wrong ranks.
-    #[test]
-    fn sweep_on_arbitrary_sequences(cs in prop::collection::vec(small_complex(), 1..4)) {
-        let mut sweep = ChainSweep::new();
-        for (t, c) in cs.iter().enumerate() {
-            let step = sweep.push(c);
-            prop_assert_eq!(&step.betti, &reduced_betti_numbers(c), "step {t}");
-            prop_assert_eq!(step.connectivity, connectivity_seq(c), "step {t}");
         }
     }
 }

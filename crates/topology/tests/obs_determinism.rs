@@ -104,42 +104,6 @@ proptest! {
         prop_assert_eq!(seq.1, connectivity(&c));
     }
 
-    /// The dense GF(2) engine's parallel and sequential eliminations
-    /// share the `ranks_computed` site: one count each, any pool size.
-    #[test]
-    fn gf2_rank_counters_match_par_vs_seq(
-        bits in prop::collection::vec(prop::collection::vec(any::<bool>(), 6), 6),
-    ) {
-        use ksa_topology::gf2::Gf2Matrix;
-        let build = || {
-            let mut m = Gf2Matrix::zero(6, 6);
-            for (r, row) in bits.iter().enumerate() {
-                for (c, &b) in row.iter().enumerate() {
-                    if b {
-                        m.set(r, c);
-                    }
-                }
-            }
-            m
-        };
-        let _guard = counter_lock();
-        let seq = det_delta(|| {
-            build().rank_seq();
-        });
-        for pool in pools() {
-            let par = det_delta(|| {
-                pool.install(|| {
-                    build().rank();
-                });
-            });
-            prop_assert_eq!(
-                &par, &seq,
-                "gf2 deterministic tier diverged on a {}-worker pool",
-                pool.num_threads()
-            );
-        }
-    }
-
     /// Pseudosphere materialization + nerve expansion: the facet
     /// enumeration counters don't depend on the fan-out.
     #[test]

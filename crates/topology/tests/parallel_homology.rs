@@ -1,7 +1,7 @@
 //! Parallel-vs-sequential determinism for the homology pipeline.
 //!
 //! The `parallel` feature's contract (DESIGN.md §4) is that every
-//! topology result — Betti numbers, GF(2) ranks, materialized complexes —
+//! topology result — Betti numbers, materialized complexes —
 //! is **bit-identical** to the sequential reference at any pool size.
 //! These tests pin that contract at pool sizes 1, 2 and 8: size 1 runs
 //! every engine fast path inline, size 2 exercises stealing, size 8
@@ -14,7 +14,6 @@
 
 use ksa_exec::ThreadPool;
 use ksa_topology::complex::Complex;
-use ksa_topology::gf2::Gf2Matrix;
 use ksa_topology::homology::{component_count, reduced_betti_numbers, reduced_betti_numbers_seq};
 use ksa_topology::nerve::nerve_complex;
 use ksa_topology::pseudosphere::Pseudosphere;
@@ -38,26 +37,10 @@ fn small_complex() -> impl Strategy<Value = Complex<u8>> {
     prop::collection::vec(simplex, 1..6).prop_map(Complex::from_facets)
 }
 
-/// A dense-ish pseudo-random GF(2) matrix whose bit at `(r, c)` is a pure
-/// hash of the seed and the coordinates — reproducible under any fill
-/// order, which is exactly what the parallel row fill requires.
-fn seeded_matrix(seed: u64, rows: usize, cols: usize) -> Gf2Matrix {
-    let mix = move |r: usize, c: usize| -> u64 {
-        let mut x = seed ^ ((r as u64) << 32 | c as u64);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-    };
-    Gf2Matrix::from_row_fn(rows, cols, |r| {
-        (0..cols).filter(|&c| mix(r, c) % 3 == 0).collect()
-    })
-}
-
 /// The m-color binary-view pseudosphere (an (m−1)-cross-polytope
 /// boundary, i.e. an (m−1)-sphere) — big enough that the parallel facet
-/// materialization, face closure and blocked GF(2) elimination all cross
-/// their grains.
+/// materialization, face closure and per-dimension rank fan-out all
+/// cross their grains.
 fn binary_pseudosphere(m: usize) -> Complex<u8> {
     Pseudosphere::new((0..m).map(|c| (c, vec![0u8, 1])).collect())
         .expect("distinct colors")
@@ -78,16 +61,6 @@ fn sphere_betti_identical_across_pool_sizes() {
             reduced_betti_numbers(&c)
         });
         assert_eq!(par, seq, "pool size {}", pool.num_threads());
-    }
-}
-
-#[test]
-fn large_matrix_rank_identical_across_pool_sizes() {
-    let m = seeded_matrix(0xdead_beef, 700, 900);
-    let reference = m.rank_seq();
-    for pool in pools() {
-        let par = pool.install(|| m.rank());
-        assert_eq!(par, reference, "pool size {}", pool.num_threads());
     }
 }
 
@@ -121,20 +94,6 @@ proptest! {
         }
         // And b̃_0 stays consistent with the exact component count.
         prop_assert_eq!(reference[0] + 1, component_count(&c));
-    }
-
-    #[test]
-    fn gf2_rank_identical_across_pool_sizes(
-        seed in any::<u64>(),
-        rows in 1usize..220,
-        cols in 1usize..260,
-    ) {
-        let m = seeded_matrix(seed, rows, cols);
-        let reference = m.rank_seq();
-        for pool in pools() {
-            let par = pool.install(|| m.rank());
-            prop_assert_eq!(par, reference, "pool size {}", pool.num_threads());
-        }
     }
 
     #[test]
