@@ -5,7 +5,6 @@
 //!
 //! ```text
 //! experiments all            # run everything
-//! experiments --smoke        # run the fast subset (CI smoke job)
 //! experiments fig1 stars …   # run selected experiments
 //! experiments --list         # list experiment ids
 //! experiments --list-models  # list the builtin model registry
@@ -15,7 +14,7 @@
 //!                            # hunt over a registry selection
 //! experiments all --json BENCH_results.json
 //!                            # also write machine-readable results
-//! experiments --smoke --certs certs/
+//! experiments all --certs certs/
 //!                            # export every emitted certificate for an
 //!                            # out-of-process `cert-check` pass
 //! ```
@@ -50,7 +49,6 @@
 
 use ksa_bench::{
     run_experiments_with_models, ExperimentOutcome, ExperimentTiming, ALL_EXPERIMENTS,
-    SMOKE_EXPERIMENTS,
 };
 use ksa_obs::json::{obj, Value};
 use std::process::ExitCode;
@@ -267,9 +265,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let ids: Vec<&str> = if selected.iter().any(|a| a == "--smoke") {
-        SMOKE_EXPERIMENTS.to_vec()
-    } else if selected.is_empty() || selected.iter().any(|a| a == "all") {
+    let ids: Vec<&str> = if selected.is_empty() || selected.iter().any(|a| a == "all") {
         ALL_EXPERIMENTS.to_vec()
     } else {
         selected.iter().map(|s| s.as_str()).collect()
@@ -279,10 +275,9 @@ fn main() -> ExitCode {
         ksa_obs::trace_start();
     }
 
-    // Whole experiments fan out as `ksa-exec` tasks (under the default
-    // `parallel` feature); results come back in input order, so the
-    // printed reports and the JSON payload are independent of the thread
-    // count.
+    // Whole experiments fan out as `ksa-exec` tasks; results come back
+    // in input order, so the printed reports and the JSON payload are
+    // independent of the thread count.
     let mut all_ok = true;
     let mut results: Vec<(ExperimentOutcome, ExperimentTiming)> = Vec::new();
     for (id, (result, timing)) in ids

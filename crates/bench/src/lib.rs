@@ -111,33 +111,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "hunt",
 ];
 
-/// The fast subset run by `experiments --smoke` (the CI bench-smoke
-/// job). Historically this excluded `solv`, whose exhaustive decision
-/// procedure dominated the runtime of `all`; the pruned search
-/// (DESIGN.md §10) collapsed it to milliseconds, so the smoke set is
-/// currently every experiment.
-pub const SMOKE_EXPERIMENTS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "lemma46",
-    "thm412",
-    "thm54",
-    "sec61",
-    "stars",
-    "seqs",
-    "multiround",
-    "rounds",
-    "sim",
-    "def52",
-    "cor55",
-    "extuniv",
-    "solv",
-    "approx",
-    "hunt",
-];
-
 /// Runs one experiment by id.
 ///
 /// # Errors
@@ -211,14 +184,13 @@ pub struct ExperimentTiming {
 /// Runs the given experiments and returns `(outcome-or-error, timing)`
 /// per id, **in input order**.
 ///
-/// With the `parallel` feature each experiment is a `ksa-exec` task —
-/// whole experiments race on the work-stealing pool while their inner hot
-/// loops (homology, checker, solvability) fan out further on the same
-/// engine. Results merge in input order and every experiment is
-/// deterministic given its id, so reports, exit codes and `--json`
-/// payloads are identical at any `KSA_THREADS`; only the wall times move.
-/// See [`ExperimentTiming`] for what each of the three reported times
-/// means inside the fan-out.
+/// Each experiment is a `ksa-exec` task — whole experiments race on the
+/// work-stealing pool while their inner hot loops (homology, checker,
+/// solvability) fan out further on the same engine. Results merge in
+/// input order and every experiment is deterministic given its id, so
+/// reports, exit codes and `--json` payloads are identical at any
+/// `KSA_THREADS`; only the wall times move. See [`ExperimentTiming`]
+/// for what each of the three reported times means inside the fan-out.
 ///
 /// # Examples
 ///
@@ -242,14 +214,10 @@ pub fn run_experiments_with_models(
     let timed = |id: &&str| {
         let _span = ksa_obs::span("experiment", || (*id).to_string());
         let start = std::time::Instant::now();
-        #[cfg(feature = "parallel")]
         let helped_before = ksa_exec::helped_nanos();
         let result = run_experiment_with_models(id, models);
         let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-        #[cfg(feature = "parallel")]
         let helped_ms = (ksa_exec::helped_nanos() - helped_before) as f64 / 1e6;
-        #[cfg(not(feature = "parallel"))]
-        let helped_ms = 0.0;
         let timing = ExperimentTiming {
             queued_ms: dispatched.elapsed().as_secs_f64() * 1e3,
             wall_ms,
@@ -257,15 +225,8 @@ pub fn run_experiments_with_models(
         };
         (result, timing)
     };
-    #[cfg(feature = "parallel")]
-    {
-        use ksa_exec::prelude::*;
-        ids.par_iter().map(timed).collect()
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        ids.iter().map(timed).collect()
-    }
+    use ksa_exec::prelude::*;
+    ids.par_iter().map(timed).collect()
 }
 
 #[cfg(test)]
@@ -308,21 +269,5 @@ mod tests {
         // Non-registry experiments ignore the override.
         let fig2 = run_experiment_with_models("fig2", Some("nomatch*")).unwrap();
         assert!(fig2.passed);
-    }
-
-    #[test]
-    fn smoke_set_is_all_minus_exclusions() {
-        // The smoke list must track ALL_EXPERIMENTS: only the named
-        // slow exclusions may be missing, so new experiments cannot
-        // silently drop out of the CI smoke job.
-        // `solv` left this list when the pruned search (DESIGN.md §10)
-        // took its full sweep from ~12 s to milliseconds.
-        const SLOW_EXCLUSIONS: &[&str] = &[];
-        let expected: Vec<&str> = ALL_EXPERIMENTS
-            .iter()
-            .copied()
-            .filter(|id| !SLOW_EXCLUSIONS.contains(id))
-            .collect();
-        assert_eq!(SMOKE_EXPERIMENTS, expected.as_slice());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A from-scratch **work-stealing execution engine** for the k-set
 //! agreement reproduction: the scheduling substrate under every
-//! `parallel`-feature hot path (the exhaustive checker, the solvability
-//! CSP search, the combinatorial-number searches).
+//! data-parallel hot path (the exhaustive checker, the solvability CSP
+//! search, the combinatorial-number searches, the homology pipeline).
 //!
 //! Why work stealing rather than static chunking? The workspace's
 //! search trees are *irregular*: one branch-and-bound subtree dies at

@@ -5,40 +5,144 @@
 //! the orderings among the combinatorial numbers — on randomly generated
 //! graphs rather than hand-picked families.
 
+use ksa_exec::ThreadPool;
 use ksa_graphs::covering::{covering_number, covering_profile};
 use ksa_graphs::digraph::Digraph;
 use ksa_graphs::dist_domination::{
-    distributed_domination_number, distributed_domination_number_exact,
+    all_jointly_dominating, distributed_domination_number, distributed_domination_number_exact,
 };
-use ksa_graphs::domination::{domination_number, greedy_dominating_set, minimum_dominating_set};
+use ksa_graphs::domination::{
+    domination_number, greedy_dominating_set, minimum_dominating_set, DominatingSet,
+};
 use ksa_graphs::equal_domination::{
     equal_domination_number, equal_domination_number_brute, equal_domination_number_of_set,
 };
+use ksa_graphs::error::GraphError;
+use ksa_graphs::max_covering::max_covering_number;
 use ksa_graphs::perm::{all_permutations, Permutation};
 use ksa_graphs::proc_set::ProcSet;
 use ksa_graphs::product::{dissemination, power, product};
 use ksa_graphs::sequences::covering_sequence;
 use proptest::prelude::*;
+use std::sync::OnceLock;
+
+/// The digraph on `n` processes with the proper edges `u → v` for which
+/// `edges[u * n + v]` holds.
+fn digraph_from_mask(n: usize, edges: &[bool]) -> Digraph {
+    let mut g = Digraph::empty(n).expect("valid n");
+    for u in 0..n {
+        for v in 0..n {
+            if u != v && edges[u * n + v] {
+                g.add_edge(u, v).expect("in range");
+            }
+        }
+    }
+    g
+}
 
 /// Strategy: a digraph on `n` processes with each proper edge present with
 /// the sampled density.
 fn digraph(n: usize) -> impl Strategy<Value = Digraph> {
-    let bits = n * n;
-    prop::collection::vec(any::<bool>(), bits).prop_map(move |edges| {
-        let mut g = Digraph::empty(n).expect("valid n");
-        for u in 0..n {
-            for v in 0..n {
-                if u != v && edges[u * n + v] {
-                    g.add_edge(u, v).expect("in range");
-                }
-            }
-        }
-        g
+    prop::collection::vec(any::<bool>(), n * n).prop_map(move |edges| digraph_from_mask(n, &edges))
+}
+
+/// Strategy: a digraph on `n` processes with each proper edge present
+/// with probability 1/4 — sparse enough that the greedy incumbent is
+/// often beaten, so the exact solver's witness comes from the frontier
+/// merge rather than from the greedy set.
+fn sparse_digraph(n: usize) -> impl Strategy<Value = Digraph> {
+    prop::collection::vec(0u8..4, n * n).prop_map(move |draws| {
+        let edges: Vec<bool> = draws.iter().map(|&d| d == 0).collect();
+        digraph_from_mask(n, &edges)
     })
 }
 
 fn small_digraph() -> impl Strategy<Value = Digraph> {
     (2usize..=6).prop_flat_map(digraph)
+}
+
+/// The shared pools (1/2/8 workers), started once for the whole test
+/// binary so proptest cases don't churn threads.
+fn pools() -> &'static [ThreadPool] {
+    static POOLS: OnceLock<Vec<ThreadPool>> = OnceLock::new();
+    POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
+}
+
+/// Everything the parallel graph scans compute for one graph set: the
+/// minimum dominating set of its first graph (witness included), then
+/// `max-cov_i` and the joint-domination verdict per `i`, then the exact
+/// `γ_dist`.
+#[allow(clippy::type_complexity)]
+fn scan_values(
+    gs: &[Digraph],
+) -> (
+    DominatingSet,
+    Vec<(Result<usize, GraphError>, Result<bool, GraphError>)>,
+    Result<usize, GraphError>,
+) {
+    let n = gs[0].n();
+    let per_i = (1..=n)
+        .map(|i| (max_covering_number(gs, i), all_jointly_dominating(gs, i)))
+        .collect();
+    (
+        minimum_dominating_set(&gs[0]),
+        per_i,
+        distributed_domination_number_exact(gs),
+    )
+}
+
+/// The witness one depth-first scan finds: the first minimum
+/// dominating set in take-before-skip pre-order over the candidates
+/// sorted by decreasing out-degree (under the solver's two branch
+/// guards), unless the greedy set is already minimum. No pruning and no
+/// frontier, so it pins what `minimum_dominating_set`'s merge claims to
+/// reproduce.
+fn first_found_witness(g: &Digraph) -> ProcSet {
+    fn walk(
+        g: &Digraph,
+        order: &[usize],
+        idx: usize,
+        chosen: ProcSet,
+        covered: ProcSet,
+        reached: &mut Vec<ProcSet>,
+    ) {
+        let full = ProcSet::full(g.n());
+        if covered == full {
+            reached.push(chosen);
+            return;
+        }
+        let Some(&u) = order.get(idx) else { return };
+        if !g.out_set(u).difference(covered).is_empty() {
+            let covered = covered.union(g.out_set(u));
+            walk(g, order, idx + 1, chosen.with(u), covered, reached);
+        }
+        let rest = order[idx + 1..]
+            .iter()
+            .fold(covered, |acc, &v| acc.union(g.out_set(v)));
+        if full.is_subset(rest) {
+            walk(g, order, idx + 1, chosen, covered, reached);
+        }
+    }
+    let mut order: Vec<usize> = (0..g.n()).collect();
+    order.sort_by_key(|&u| std::cmp::Reverse(g.out_set(u).len()));
+    let mut reached = Vec::new();
+    walk(
+        g,
+        &order,
+        0,
+        ProcSet::empty(),
+        ProcSet::empty(),
+        &mut reached,
+    );
+    reached
+        .into_iter()
+        .fold(greedy_dominating_set(g).set, |best, set| {
+            if set.len() < best.len() {
+                set
+            } else {
+                best
+            }
+        })
 }
 
 fn permutation(n: usize) -> impl Strategy<Value = Permutation> {
@@ -278,5 +382,26 @@ proptest! {
         let sym = ksa_graphs::perm::symmetric_closure(&gs).unwrap();
         let stab = ksa_graphs::perm::stabilizing_permutations(&sym).unwrap();
         prop_assert_eq!(stab.len(), 24);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The frontier merge of `minimum_dominating_set` returns one depth-
+    /// first scan's first-found witness *set* at every pool size, and the
+    /// batched `par_util` scans (`max-cov_i`, joint domination, exact
+    /// `γ_dist`) return the same values at every pool size.
+    #[test]
+    fn graph_scans_identical_across_pool_sizes(
+        gs in (4usize..=10).prop_flat_map(|n| prop::collection::vec(sparse_digraph(n), 1..=3)),
+    ) {
+        let witness = first_found_witness(&gs[0]);
+        let reference = pools()[0].install(|| scan_values(&gs));
+        for pool in pools() {
+            let values = pool.install(|| scan_values(&gs));
+            prop_assert_eq!(values.0.set, witness, "pool of {} workers", pool.num_threads());
+            prop_assert_eq!(&values, &reference, "pool of {} workers", pool.num_threads());
+        }
     }
 }

@@ -36,11 +36,11 @@ use std::collections::{BTreeSet, HashMap};
 ///
 /// Runs on the flat chain-complex engine ([`crate::chain`]): the face
 /// closure is enumerated once into integer-id arenas and each boundary
-/// operator is reduced sparsely. With the `parallel` feature the closure
-/// enumeration fans out per facet and the boundary reductions fan out
-/// per dimension as `ksa-exec` tasks; arenas are canonically sorted at
-/// the merge, so every Betti number is bit-identical to
-/// [`reduced_betti_numbers_seq`] at any `KSA_THREADS` (DESIGN.md §4, §7).
+/// operator is reduced sparsely. The closure enumeration fans out per
+/// facet and the boundary reductions fan out per dimension as
+/// `ksa-exec` tasks; arenas are canonically sorted at the merge, so
+/// every Betti number is bit-identical to [`reduced_betti_numbers_seq`]
+/// at any `KSA_THREADS` (DESIGN.md §4, §7).
 ///
 /// Callers that need both Betti numbers *and* connectivity should build
 /// one [`ChainComplex`] and query it twice — the rank cache is shared.

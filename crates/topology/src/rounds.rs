@@ -20,12 +20,12 @@
 //! [`TopologyError::Budget`].
 //!
 //! Determinism (DESIGN.md §4): [`protocol_complex_rounds_seq`] is the
-//! public sequential reference; with the `parallel` feature,
-//! [`protocol_complex_rounds`] fans the per-(input-facet × generator)
-//! interpretation out on the `ksa-exec` pool and merges in input order,
-//! with canonical id assignment ([`ViewTable::canonical`]) and facet
-//! canonicalization (`Complex::from_facets`) at the merge — the results
-//! are bit-identical at any `KSA_THREADS`, proptest-pinned at pool sizes
+//! public sequential reference; [`protocol_complex_rounds`] fans the
+//! per-(input-facet × generator) interpretation out on the `ksa-exec`
+//! pool and merges in input order, with canonical id assignment
+//! ([`ViewTable::canonical`]) and facet canonicalization
+//! (`Complex::from_facets`) at the merge — the results are
+//! bit-identical at any `KSA_THREADS`, proptest-pinned at pool sizes
 //! 1/2/8.
 
 use crate::complex::Complex;
@@ -39,7 +39,6 @@ use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::Digraph;
 use ksa_obs::Counter;
 
-#[cfg(feature = "parallel")]
 use ksa_exec::prelude::*;
 
 /// The result of an `r`-round iterated interpretation: one interned
@@ -127,11 +126,12 @@ impl<V: View> RoundsComplex<V> {
         self.sweep(Some(cancel))
     }
 
-    /// The shared sweep body. With a token, each round polls it on entry
-    /// and before every `rank_boundary(k)`, reducing one dimension at a
-    /// time; without one, [`ChainComplex::reduced_betti`] fans the
-    /// dimensions out (parallel feature). The ranks, and so the Betti
-    /// vector, are the same either way.
+    /// The shared sweep body. With a token, each round polls it on
+    /// entry and before every `rank_boundary(k)`, reducing one
+    /// dimension at a time; without one,
+    /// [`ChainComplex::reduced_betti`] fans the dimensions out on
+    /// `ksa-exec`. The ranks, and so the Betti vector, are the same
+    /// either way.
     ///
     /// [`ChainComplex::reduced_betti`]: crate::chain::ChainComplex::reduced_betti
     fn sweep(
@@ -230,20 +230,17 @@ fn pair_view_lists(tau: &Simplex<u32>, g: &Digraph) -> Vec<Vec<InternedView>> {
     .collect()
 }
 
-/// Maps `f` over `items` on the `ksa-exec` pool when `use_parallel` (and
-/// the `parallel` feature) allow, inline otherwise — the merge is
-/// input-ordered either way, so both paths compute the same vector.
+/// Maps `f` over `items` on the `ksa-exec` pool when `use_parallel`,
+/// inline otherwise — the merge is input-ordered either way, so both
+/// paths compute the same vector.
 fn map_items<T: Sync, U: Send>(
     items: &[T],
     f: impl Fn(&T) -> U + Sync,
     use_parallel: bool,
 ) -> Vec<U> {
-    #[cfg(feature = "parallel")]
     if use_parallel {
         return items.par_iter().map(&f).collect();
     }
-    #[cfg(not(feature = "parallel"))]
-    let _ = use_parallel;
     items.iter().map(&f).collect()
 }
 
@@ -394,10 +391,10 @@ fn rounds_driver<V: View>(
 /// to exactly [`crate::interpretation::protocol_complex_one_round`] —
 /// the anchor the proptests pin.
 ///
-/// With the `parallel` feature the per-round interpretation and
-/// materialization fan out on the `ksa-exec` pool; the result is
-/// bit-identical to [`protocol_complex_rounds_seq`] at any
-/// `KSA_THREADS` (DESIGN.md §4, §6).
+/// The per-round interpretation and materialization fan out on the
+/// `ksa-exec` pool; the result is bit-identical to
+/// [`protocol_complex_rounds_seq`] at any `KSA_THREADS` (DESIGN.md §4,
+/// §6).
 ///
 /// # Errors
 ///

@@ -14,21 +14,21 @@
 //!
 //! # The racing portfolio (DESIGN.md §11)
 //!
-//! With the `parallel` feature, [`find_shelling_order`] races three
-//! facet-ordering heuristics (canonical index order, descending
-//! `(d−1)`-ridge degree, descending intersection count) as work-stealing
-//! DFS tasks on the `ksa-exec` pool, sharing a [`ksa_exec::ShardedSet`]
-//! of proved-dead facet subsets and cancelling on first success —
-//! the same shape as the solvability CSP portfolio (DESIGN.md §10.2).
-//! Whether an order exists is intrinsic to the complex and every
-//! strategy's search is complete, so the *verdict* is bit-identical at
-//! any `KSA_THREADS`; the winning *witness order* may legitimately
-//! differ across schedules (any witness re-verifies through
-//! [`is_shelling_order`] and the `ksa-cert` checker). The memoized
-//! sequential search stays available as [`find_shelling_order_seq`],
-//! the pinned oracle of the determinism contract (DESIGN.md §4): the
-//! canonical strategy is spawned last, so a lone worker pops it first
-//! (LIFO) and explores exactly the oracle's node order.
+//! [`find_shelling_order`] races three facet-ordering heuristics
+//! (canonical index order, descending `(d−1)`-ridge degree, descending
+//! intersection count) as work-stealing DFS tasks on the `ksa-exec`
+//! pool, sharing a [`ksa_exec::ShardedSet`] of proved-dead facet
+//! subsets and cancelling on first success — the same shape as the
+//! solvability CSP portfolio (DESIGN.md §10.2). Whether an order exists
+//! is intrinsic to the complex and every strategy's search is complete,
+//! so the *verdict* is bit-identical at any `KSA_THREADS`; the winning
+//! *witness order* may legitimately differ across schedules (any
+//! witness re-verifies through [`is_shelling_order`] and the `ksa-cert`
+//! checker). The memoized sequential search stays available as
+//! [`find_shelling_order_seq`], the pinned oracle of the determinism
+//! contract (DESIGN.md §4): the canonical strategy is spawned last, so
+//! a lone worker pops it first (LIFO) and explores exactly the oracle's
+//! node order.
 //!
 //! Dead-subset publication follows the monotone no-good contract
 //! (DESIGN.md §10.3): a subtree publishes its used-set only after a
@@ -156,7 +156,6 @@ fn search_seq<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
     (None, memo.len() as u64)
 }
 
-#[cfg(feature = "parallel")]
 mod portfolio {
     //! The racing shelling portfolio (module docs above; mirrors the
     //! solvability CSP portfolio of DESIGN.md §10.2).
@@ -337,27 +336,14 @@ mod portfolio {
     }
 }
 
-/// Decides shellability: picked facet indices (or `None`) plus the
-/// dead-state count, dispatching to the portfolio when available.
-fn search<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
-    #[cfg(feature = "parallel")]
-    {
-        portfolio::search(facets)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        search_seq(facets)
-    }
-}
-
 /// Searches for a shelling order of a pure complex. Returns `None` when the
 /// complex is not shellable.
 ///
-/// With the `parallel` feature this races the ordering-heuristic
-/// portfolio on the `ksa-exec` pool (see the module docs); the verdict
-/// (`Some` vs `None`) is bit-identical to [`find_shelling_order_seq`]
-/// at any `KSA_THREADS`, while the witness order may differ across
-/// schedules (any witness passes [`is_shelling_order`]).
+/// Races the ordering-heuristic portfolio on the `ksa-exec` pool (see
+/// the module docs); the verdict (`Some` vs `None`) is bit-identical to
+/// [`find_shelling_order_seq`] at any `KSA_THREADS`, while the witness
+/// order may differ across schedules (any witness passes
+/// [`is_shelling_order`]).
 ///
 /// # Errors
 ///
@@ -370,7 +356,7 @@ pub fn find_shelling_order<V: View>(
     if facets.len() == 1 {
         return Ok(Some(facets));
     }
-    let (picked, _states) = search(&facets);
+    let (picked, _states) = portfolio::search(&facets);
     Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
 }
 
@@ -439,7 +425,7 @@ pub fn is_shellable_certified<V: View>(
     let (picked, states) = if facets.len() == 1 {
         (Some(vec![0]), 0)
     } else {
-        search(&facets)
+        portfolio::search(&facets)
     };
     let (shellable, verdict) = match picked {
         Some(p) => (

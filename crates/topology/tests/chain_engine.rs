@@ -10,8 +10,6 @@
 //! * every round of `RoundsComplex::homology_sweep` == the references
 //!   on that round's complex, over small random closed-above models.
 
-#![cfg(feature = "parallel")]
-
 use ksa_exec::ThreadPool;
 use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::Digraph;

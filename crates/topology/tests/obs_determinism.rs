@@ -15,7 +15,7 @@
 //! test-binary-wide lock: a concurrent test's counts bleeding into a
 //! delta would be indistinguishable from a real determinism bug.
 
-#![cfg(all(feature = "parallel", feature = "obs"))]
+#![cfg(feature = "obs")]
 
 use ksa_exec::ThreadPool;
 use ksa_graphs::Digraph;

@@ -1,16 +1,14 @@
 //! Parallel-vs-sequential determinism for the homology pipeline.
 //!
-//! The `parallel` feature's contract (DESIGN.md §4) is that every
-//! topology result — Betti numbers, materialized complexes —
-//! is **bit-identical** to the sequential reference at any pool size.
+//! The determinism contract (DESIGN.md §4) is that every topology
+//! result — Betti numbers, materialized complexes — is
+//! **bit-identical** to the sequential reference at any pool size.
 //! These tests pin that contract at pool sizes 1, 2 and 8: size 1 runs
 //! every engine fast path inline, size 2 exercises stealing, size 8
 //! oversubscribes the CI machine so task interleavings actually vary.
 //!
 //! (The CI determinism job covers the same contract end-to-end by
 //! diffing `experiments --json` payloads across `KSA_THREADS`.)
-
-#![cfg(feature = "parallel")]
 
 use ksa_exec::ThreadPool;
 use ksa_topology::complex::Complex;
