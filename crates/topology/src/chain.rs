@@ -32,11 +32,11 @@
 //!   [`ChainComplex::skeleton_connectivity`] answer skeleton queries from
 //!   the parent's cached ranks without re-closing any faces.
 //!
-//! Determinism (DESIGN.md §4): the closure enumeration fans out per
-//! facet and full-Betti queries fan out per dimension on `ksa-exec`;
-//! arenas are canonically sorted at the merge and ranks are properties
-//! of the matrices, so every verdict is
-//! bit-identical to the engine-free references
+//! Determinism (DESIGN.md §4): the closure enumeration fans out over
+//! blocks of facets and full-Betti queries fan out per dimension on
+//! `ksa-exec`; arenas are canonically sorted at the merge and ranks are
+//! properties of the matrices, so every verdict is bit-identical to the
+//! engine-free references
 //! ([`crate::homology::reduced_betti_numbers_seq`] and the scalar
 //! [`crate::gf2::Gf2Matrix::rank_seq`]) at any `KSA_THREADS` —
 //! proptest-pinned at pool sizes 1/2/8 in `tests/chain_engine.rs`.
@@ -48,9 +48,9 @@ use ksa_obs::Counter;
 
 use ksa_exec::prelude::*;
 
-/// Facet count past which the closure enumeration fans out per facet
-/// (mirrors `complex.rs`: tiny complexes dominate the call profile and
-/// forking them costs more than enumerating them).
+/// Facets per block of the closure enumeration's fan-out (mirrors
+/// `complex.rs`: tiny complexes dominate the call profile and forking
+/// them costs more than enumerating them).
 const PAR_FACET_GRAIN: usize = 16;
 
 /// A flat, canonically sorted bucket of same-dimension simplexes:
@@ -103,18 +103,17 @@ impl Arena {
 
 /// Sorts a flat chunk vector lexicographically and removes duplicate
 /// chunks. The result depends only on the chunk *set*, which is what
-/// makes the parallel per-facet enumeration interchangeable with the
-/// sequential one.
+/// makes the block fan-out of the closure enumeration schedule-free.
+/// Sorting `u32` start offsets, not borrowed row slices, keeps the
+/// sort's scratch at 4 bytes per chunk rather than 16 (DESIGN.md §6.4).
 fn sort_dedup_chunks(data: Vec<u32>, stride: usize) -> Vec<u32> {
-    let n = data.len() / stride;
-    let chunk = |i: u32| &data[i as usize * stride..(i as usize + 1) * stride];
-    let mut idx: Vec<u32> = (0..n as u32).collect();
-    idx.sort_unstable_by(|&a, &b| chunk(a).cmp(chunk(b)));
-    let mut out: Vec<u32> = Vec::with_capacity(data.len());
-    for &i in &idx {
-        if out.is_empty() || out[out.len() - stride..] != *chunk(i) {
-            out.extend_from_slice(chunk(i));
-        }
+    let row = |start: u32| &data[start as usize..start as usize + stride];
+    let mut starts: Vec<u32> = (0..data.len() as u32).step_by(stride).collect();
+    starts.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+    starts.dedup_by(|a, b| row(*a) == row(*b));
+    let mut out = Vec::with_capacity(starts.len() * stride);
+    for &s in &starts {
+        out.extend_from_slice(row(s));
     }
     out
 }
@@ -261,18 +260,27 @@ pub struct ChainComplex {
 
 impl ChainComplex {
     /// Flattens a complex: interns its vertices, enumerates the face
-    /// closure once into per-dimension arenas (parallel per facet past
-    /// a small grain; the canonical sort at the merge makes both paths
-    /// bit-identical).
+    /// closure once into per-dimension arenas (fanned out over blocks of
+    /// facets, a lone block inline; the canonical sort at the merge makes
+    /// the result independent of the schedule).
     pub fn from_complex<V: View>(complex: &Complex<V>) -> Self {
+        Self::build(complex).0
+    }
+
+    /// [`ChainComplex::from_complex`], also returning the interned facets
+    /// (ascending vertex ids, in facet order) that certificates carry.
+    fn build<V: View>(complex: &Complex<V>) -> (Self, Vec<Vec<u32>>) {
         if complex.is_void() {
-            return ChainComplex {
+            let void = ChainComplex {
                 arenas: Vec::new(),
                 ranks: Vec::new(),
             };
+            return (void, Vec::new());
         }
         let verts: Vec<Vertex<V>> = complex.vertices();
         let dim = complex.dim() as usize;
+        // Facet vertices are sorted and ids are sorted positions, so each
+        // id list is ascending.
         let facet_ids: Vec<Vec<u32>> = complex
             .facets()
             .map(|f| {
@@ -283,21 +291,18 @@ impl ChainComplex {
             })
             .collect();
 
-        let raw: Vec<Vec<u32>> = if facet_ids.len() >= PAR_FACET_GRAIN {
-            let per_facet: Vec<Vec<Vec<u32>>> = facet_ids
-                .par_iter()
-                .map(|ids| facet_subsets(ids, dim))
-                .collect();
-            let mut acc: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
-            for group in per_facet {
-                for (k, chunk) in group.into_iter().enumerate() {
-                    acc[k].extend(chunk);
-                }
+        let blocks: Vec<Vec<Vec<u32>>> = facet_ids
+            .chunks(PAR_FACET_GRAIN)
+            .collect::<Vec<_>>()
+            .into_par_iter()
+            .map(|block| closure_block(block, dim))
+            .collect();
+        let mut raw: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
+        for block in blocks {
+            for (acc, chunks) in raw.iter_mut().zip(block) {
+                acc.extend(chunks);
             }
-            acc
-        } else {
-            closure_seq(&facet_ids, dim)
-        };
+        }
 
         let arenas: Vec<Arena> = raw
             .into_iter()
@@ -314,7 +319,7 @@ impl ChainComplex {
         let mut ranks = vec![None; dim + 2];
         ranks[0] = Some(1); // augmentation on a non-void complex
         ranks[dim + 1] = Some(0);
-        ChainComplex { arenas, ranks }
+        (ChainComplex { arenas, ranks }, facet_ids)
     }
 
     /// Whether the underlying complex was void.
@@ -523,25 +528,11 @@ pub fn reduced_betti_certified<V: View>(
     complex: &Complex<V>,
     label: &str,
 ) -> Option<(Vec<usize>, ksa_cert::HomologyCert)> {
-    let mut cc = ChainComplex::from_complex(complex);
+    let (mut cc, facet_ids) = ChainComplex::build(complex);
     if cc.is_void() {
         return None;
     }
     let dim = cc.arenas.len() - 1;
-    // Interned facets, exactly as `from_complex` interns vertices.
-    let verts: Vec<Vertex<V>> = complex.vertices();
-    let facet_ids: Vec<Vec<u32>> = complex
-        .facets()
-        .map(|f| {
-            let mut ids: Vec<u32> = f
-                .vertices()
-                .iter()
-                .map(|v| verts.binary_search(v).expect("facet vertex is interned") as u32)
-                .collect();
-            ids.sort_unstable();
-            ids
-        })
-        .collect();
     let dims: Vec<usize> = (1..=dim).collect();
     let witnesses: Vec<ksa_cert::RankWitness> = dims
         .par_iter()
@@ -567,31 +558,21 @@ pub fn reduced_betti_certified<V: View>(
     Some((betti, cert))
 }
 
-/// The per-dimension subset chunks one facet contributes to the closure.
-fn facet_subsets(ids: &[u32], dim: usize) -> Vec<Vec<u32>> {
-    let m = ids.len();
-    let mut acc: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
-    for mask in 1u64..(1u64 << m) {
-        let k = mask.count_ones() as usize - 1;
-        let bucket = &mut acc[k];
-        for (i, &id) in ids.iter().enumerate() {
-            if (mask >> i) & 1 == 1 {
-                bucket.push(id);
+/// The per-dimension subset chunks a block of facets contributes to the
+/// closure, flat: `out[k]` holds `(k+1)`-chunks of ascending ids.
+fn closure_block(facet_ids: &[Vec<u32>], dim: usize) -> Vec<Vec<u32>> {
+    let mut out: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
+    for ids in facet_ids {
+        for mask in 1u64..(1u64 << ids.len()) {
+            let bucket = &mut out[mask.count_ones() as usize - 1];
+            for (i, &id) in ids.iter().enumerate() {
+                if (mask >> i) & 1 == 1 {
+                    bucket.push(id);
+                }
             }
         }
     }
-    acc
-}
-
-/// Sequential closure enumeration over all facets.
-fn closure_seq(facet_ids: &[Vec<u32>], dim: usize) -> Vec<Vec<u32>> {
-    let mut acc: Vec<Vec<u32>> = vec![Vec::new(); dim + 1];
-    for ids in facet_ids {
-        for (k, chunk) in facet_subsets(ids, dim).into_iter().enumerate() {
-            acc[k].extend(chunk);
-        }
-    }
-    acc
+    out
 }
 
 /// One round of [`crate::rounds::RoundsComplex::homology_sweep`]: the
@@ -644,6 +625,8 @@ mod tests {
             Complex::from_facets(vec![simplex(&[0, 1]), simplex(&[2, 3])]),
             Complex::boundary_of(&simplex(&[0, 1, 2]))
                 .union(&Complex::boundary_of(&simplex(&[0, 3, 4]))),
+            // Faces of up to 10 vertices: long rows through the arena sort.
+            Complex::boundary_of(&simplex(&(0..10).collect::<Vec<_>>())),
         ];
         for c in cases {
             let mut chain = ChainComplex::from_complex(&c);

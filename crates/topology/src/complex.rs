@@ -60,24 +60,29 @@ impl<V: View> Complex<V> {
     /// simplexes dominated by others (so `facets()` is truly the facet
     /// set).
     pub fn from_facets<I: IntoIterator<Item = Simplex<V>>>(candidates: I) -> Self {
-        let mut uniq: BTreeSet<Simplex<V>> =
-            candidates.into_iter().filter(|s| !s.is_empty()).collect();
-        // Remove dominated simplexes. Sorting by length descending lets us
-        // keep only maximal ones with a quadratic scan over the (usually
-        // short) kept list.
-        let mut by_len: Vec<Simplex<V>> = uniq.iter().cloned().collect();
-        by_len.sort_by_key(|s| std::cmp::Reverse(s.len()));
-        let mut kept: Vec<Simplex<V>> = Vec::new();
-        'outer: for s in by_len {
-            for k in &kept {
-                if k.contains(&s) {
-                    continue 'outer;
-                }
+        let mut cands: Vec<Simplex<V>> = candidates.into_iter().filter(|s| !s.is_empty()).collect();
+        cands.sort_unstable_by(|a, b| b.len().cmp(&a.len()).then_with(|| a.cmp(b)));
+        cands.dedup();
+        // A simplex can only be a proper face of a strictly longer one,
+        // and distinct simplexes of equal length never contain each
+        // other. So each candidate is tested against the kept facets
+        // strictly longer than it — a prefix of `kept`, which stays in
+        // descending length order. On a pure candidate list (every
+        // protocol complex) that prefix is empty and the sort is the
+        // whole cost.
+        let mut kept: Vec<Simplex<V>> = Vec::with_capacity(cands.len());
+        let mut longer = 0;
+        for s in cands {
+            while longer < kept.len() && kept[longer].len() > s.len() {
+                longer += 1;
             }
-            kept.push(s);
+            if !kept[..longer].iter().any(|k| k.contains(&s)) {
+                kept.push(s);
+            }
         }
-        uniq = kept.into_iter().collect();
-        Complex { facets: uniq }
+        Complex {
+            facets: kept.into_iter().collect(),
+        }
     }
 
     /// Iterates over the facets (inclusion-maximal simplexes).
@@ -122,12 +127,14 @@ impl<V: View> Complex<V> {
 
     /// All distinct vertices of the complex, sorted.
     pub fn vertices(&self) -> Vec<Vertex<V>> {
-        let set: BTreeSet<Vertex<V>> = self
+        let mut verts: Vec<Vertex<V>> = self
             .facets
             .iter()
             .flat_map(|f| f.vertices().iter().cloned())
             .collect();
-        set.into_iter().collect()
+        verts.sort_unstable();
+        verts.dedup();
+        verts
     }
 
     /// All non-empty simplexes of the complex (the face closure of the
@@ -426,6 +433,78 @@ mod tests {
         assert!(pure.require_pure().is_ok());
         let impure = Complex::from_facets(vec![s(&[(0, 1), (1, 1)]), s(&[(4, 1)])]);
         assert_eq!(impure.require_pure(), Err(TopologyError::NotPure));
+    }
+
+    thread_local! {
+        static VIEW_CMPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// A view whose comparisons are counted on the current thread.
+    #[derive(Debug, Clone)]
+    struct CountedView(u32);
+
+    impl std::hash::Hash for CountedView {
+        fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+            self.0.hash(state);
+        }
+    }
+
+    impl PartialEq for CountedView {
+        fn eq(&self, other: &Self) -> bool {
+            VIEW_CMPS.with(|c| c.set(c.get() + 1));
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for CountedView {}
+
+    impl PartialOrd for CountedView {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for CountedView {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            VIEW_CMPS.with(|c| c.set(c.get() + 1));
+            self.0.cmp(&other.0)
+        }
+    }
+
+    #[test]
+    fn from_facets_scan_is_near_linear_on_pure_lists() {
+        // All 16³ = 4096 triangles over colors 0..3 with views 0..16,
+        // plus every third one again, shuffled.
+        let tri = |i: u32| {
+            Simplex::new(
+                (0..3)
+                    .map(|c| Vertex::new(c, CountedView((i >> (4 * c)) & 15)))
+                    .collect(),
+            )
+            .unwrap()
+        };
+        let mut cands: Vec<Simplex<CountedView>> =
+            (0..4096).chain((0..4096).step_by(3)).map(tri).collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for i in (1..cands.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            cands.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        let n = cands.len() as u64;
+        let bound = 64 * n * u64::from(n.next_power_of_two().ilog2());
+        VIEW_CMPS.with(|c| c.set(0));
+        let c = Complex::from_facets(cands);
+        let cmps = VIEW_CMPS.with(|c| c.get());
+        assert_eq!(c.facet_count(), 4096);
+        assert!(c.is_pure());
+        // An all-pairs dominance scan makes about N²/2 containment tests
+        // here, each at least one view comparison: far above the bound.
+        assert!(
+            cmps <= bound,
+            "{cmps} view comparisons for {n} candidates (bound {bound})"
+        );
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //! * skeleton-reuse queries == homology of the materialized
 //!   `c.skeleton(k)`;
 //! * every round of `RoundsComplex::homology_sweep` == the references
-//!   on that round's complex, over small random closed-above models.
+//!   on that round's complex, over small random closed-above models;
+//! * a closure spanning many fan-out blocks yields the same arenas,
+//!   Betti numbers and homology certificate at every pool size.
 
 use ksa_exec::ThreadPool;
 use ksa_graphs::cancel::CancelToken;
 use ksa_graphs::Digraph;
-use ksa_topology::chain::ChainComplex;
+use ksa_topology::chain::{reduced_betti_certified, ChainComplex};
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::{
     connectivity, connectivity_seq, connectivity_up_to, Connectivity,
@@ -149,4 +151,49 @@ proptest! {
             }
         }
     }
+}
+
+/// A closure spanning many fan-out blocks (the engine enumerates faces
+/// over blocks of 16 facets; the proptest complexes above fit in one):
+/// the 2-round protocol complex of the closed-above model generated by
+/// the directed 3-path over unary inputs has 256 facets and reduced
+/// Betti numbers `[0, 17, 48]`. Arenas, Betti numbers and the homology
+/// certificate must not depend on the pool size.
+#[test]
+fn multi_block_closure_identical_across_pool_sizes() {
+    let gens = vec![ksa_graphs::families::path(3).unwrap()];
+    let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32])).collect())
+        .unwrap()
+        .to_complex();
+    let rc = protocol_complex_rounds_seq(&gens, &input, 2, 1_000_000u128).unwrap();
+    let c = &rc.complexes()[1];
+    assert!(c.facet_count() >= 8 * 16, "{} facets", c.facet_count());
+    let all = c.all_simplexes();
+    let expected_counts: Vec<usize> = (0..=c.dim())
+        .map(|k| all.iter().filter(|s| s.dim() == k).count())
+        .collect();
+    let betti_ref = reduced_betti_numbers_seq(c);
+    let mut certs = Vec::new();
+    for pool in pools() {
+        let threads = pool.num_threads();
+        let (counts, betti, certified) = pool.install(|| {
+            let mut chain = ChainComplex::from_complex(c);
+            let counts: Vec<usize> = (0..=c.dim() as usize)
+                .map(|k| chain.simplex_count(k))
+                .collect();
+            let certified = reduced_betti_certified(c, "path3-round2").unwrap();
+            (counts, chain.reduced_betti(), certified)
+        });
+        assert_eq!(counts, expected_counts, "pool size {threads}");
+        assert_eq!(betti, betti_ref, "pool size {threads}");
+        let (certified_betti, cert) = certified;
+        assert_eq!(certified_betti, betti_ref, "pool size {threads}");
+        assert_eq!(
+            ksa_cert::check_homology(&cert),
+            Ok(()),
+            "pool size {threads}"
+        );
+        certs.push(cert);
+    }
+    assert!(certs.windows(2).all(|w| w[0] == w[1]));
 }

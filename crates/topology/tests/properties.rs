@@ -9,6 +9,7 @@ use ksa_topology::pseudosphere::Pseudosphere;
 use ksa_topology::simplex::{Simplex, Vertex};
 use ksa_topology::uninterpreted::{closed_above_pseudosphere, uninterpreted_simplex};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a small complex over colors 0..5 with u8 views.
 fn small_complex() -> impl Strategy<Value = Complex<u8>> {
@@ -19,6 +20,34 @@ fn small_complex() -> impl Strategy<Value = Complex<u8>> {
     });
     let _ = vertex;
     prop::collection::vec(simplex, 1..6).prop_map(Complex::from_facets)
+}
+
+/// Strategy: a raw candidate list for `Complex::from_facets` over colors
+/// 0..5 — empty simplexes, duplicates, nested faces and mixed dimensions
+/// included, in shuffled order.
+fn candidate_list() -> impl Strategy<Value = Vec<Simplex<u8>>> {
+    let simplex = prop::collection::btree_map(0usize..5, 0u8..3, 0..=4).prop_map(|m| {
+        Simplex::new(m.into_iter().map(|(c, v)| Vertex::new(c, v)).collect())
+            .expect("btree keys are distinct colors")
+    });
+    prop::collection::vec(simplex, 0..10).prop_perturb(|mut cands, mut rng| {
+        // One random vertex subset of some candidate per candidate: a
+        // nested face, the candidate itself again, or the empty simplex.
+        for _ in 0..cands.len() {
+            let i = rng.below(cands.len() as u64) as usize;
+            let face: Vec<Vertex<u8>> = cands[i]
+                .vertices()
+                .iter()
+                .filter(|_| rng.below(2) == 1)
+                .cloned()
+                .collect();
+            cands.push(Simplex::new(face).expect("a subset of a simplex"));
+        }
+        for i in (1..cands.len()).rev() {
+            cands.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        cands
+    })
 }
 
 fn small_digraph() -> impl Strategy<Value = Digraph> {
@@ -41,7 +70,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn facets_are_maximal(c in small_complex()) {
+    fn facets_are_maximal(cands in candidate_list()) {
+        let c = Complex::from_facets(cands.clone());
         let facets: Vec<_> = c.facets().cloned().collect();
         for (i, a) in facets.iter().enumerate() {
             for (j, b) in facets.iter().enumerate() {
@@ -50,6 +80,16 @@ proptest! {
                 }
             }
         }
+        // Brute-force oracle: the non-empty candidates not strictly
+        // contained in another candidate, each once, in simplex order.
+        let oracle: BTreeSet<Simplex<u8>> = cands
+            .iter()
+            .filter(|s| {
+                !s.is_empty() && !cands.iter().any(|t| t.len() > s.len() && t.contains(s))
+            })
+            .cloned()
+            .collect();
+        prop_assert_eq!(facets, oracle.into_iter().collect::<Vec<_>>());
     }
 
     #[test]
