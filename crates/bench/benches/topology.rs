@@ -137,7 +137,8 @@ fn bench_input_complex(c: &mut Criterion) {
 /// n = 4 cross-polytope, each through both search paths plus the
 /// certified producer.
 fn bench_shelling(c: &mut Criterion) {
-    use ksa_topology::shelling::{find_shelling_order_seq, is_shellable_certified};
+    use ksa_graphs::ctx::Ctx;
+    use ksa_topology::shelling::find_shelling_order_seq;
     use ksa_topology::simplex::{Simplex, Vertex};
 
     let mut group = c.benchmark_group("shelling");
@@ -169,13 +170,16 @@ fn bench_shelling(c: &mut Criterion) {
     }
     for (name, complex) in &cases {
         group.bench_with_input(BenchmarkId::new("portfolio", name), complex, |b, cx| {
-            b.iter(|| find_shelling_order(black_box(cx)))
+            b.iter(|| find_shelling_order(black_box(cx), Ctx::default()))
         });
         group.bench_with_input(BenchmarkId::new("seq_oracle", name), complex, |b, cx| {
             b.iter(|| find_shelling_order_seq(black_box(cx)))
         });
         group.bench_with_input(BenchmarkId::new("certified", name), complex, |b, cx| {
-            b.iter(|| is_shellable_certified(black_box(cx), "bench"))
+            b.iter(|| {
+                let sink = ksa_cert::CertSink::new("bench");
+                find_shelling_order(black_box(cx), &sink).map(|order| (order, sink.into_certs()))
+            })
         });
     }
     group.finish();

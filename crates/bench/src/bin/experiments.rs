@@ -21,7 +21,9 @@
 //!
 //! `--json <path>` writes per-experiment timings, every shape assertion,
 //! a per-experiment check-count summary (`counts`) and the run's
-//! instrumentation counters (`metrics`, see DESIGN.md §9) as JSON, so
+//! instrumentation counters (`metrics`, see DESIGN.md §9; counted under
+//! the run's one `ksa_obs::Scope`, per-worker rows process-wide) as
+//! JSON, so
 //! the perf trajectory is tracked across PRs (`BENCH_results.json` at
 //! the repo root is the committed baseline) and CI can diff the
 //! deterministic payload across thread counts. Of the three per-
@@ -74,8 +76,11 @@ fn ms(t: f64) -> Value {
 
 /// The run as the `BENCH_results.json` document (schema 2: three timing
 /// fields per experiment, the folded `counts` summary and the `metrics`
-/// section).
-fn results_json(results: &[(ExperimentOutcome, ExperimentTiming)]) -> Value {
+/// section, from `metrics`).
+fn results_json(
+    results: &[(ExperimentOutcome, ExperimentTiming)],
+    metrics: &ksa_obs::MetricsSnapshot,
+) -> Value {
     let experiments = results
         .iter()
         .map(|(outcome, timing)| {
@@ -144,7 +149,6 @@ fn results_json(results: &[(ExperimentOutcome, ExperimentTiming)]) -> Value {
     // deterministic tier is part of the cross-thread determinism
     // contract and is diffed by CI; everything under "perf" is
     // scheduling-dependent and must be stripped first.
-    let metrics = ksa_obs::snapshot();
     let tier = |counters: &[(&str, u64)]| {
         Value::Obj(
             counters
@@ -271,19 +275,20 @@ fn main() -> ExitCode {
         selected.iter().map(|s| s.as_str()).collect()
     };
 
-    if trace_path.is_some() {
-        ksa_obs::trace_start();
-    }
-
+    // The whole run is one observation scope: the trace and the JSON
+    // counters are exactly the run's.
+    let scope = if trace_path.is_some() {
+        ksa_obs::Scope::traced()
+    } else {
+        ksa_obs::Scope::new()
+    };
     // Whole experiments fan out as `ksa-exec` tasks; results come back
     // in input order, so the printed reports and the JSON payload are
     // independent of the thread count.
+    let outcomes = scope.enter(|| run_experiments_with_models(&ids, models.as_deref()));
     let mut all_ok = true;
     let mut results: Vec<(ExperimentOutcome, ExperimentTiming)> = Vec::new();
-    for (id, (result, timing)) in ids
-        .iter()
-        .zip(run_experiments_with_models(&ids, models.as_deref()))
-    {
+    for (id, (result, timing)) in ids.iter().zip(outcomes) {
         match result {
             Ok(outcome) => {
                 println!("================================================================");
@@ -334,7 +339,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = trace_path {
-        let doc = ksa_obs::trace_stop();
+        let doc = scope.trace();
         if let Err(e) = std::fs::write(&path, doc) {
             eprintln!("failed to write {path}: {e}");
             all_ok = false;
@@ -344,7 +349,11 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(&path, results_json(&results).to_json_pretty()) {
+        let metrics = ksa_obs::MetricsSnapshot {
+            workers: ksa_obs::snapshot().workers,
+            ..scope.snapshot()
+        };
+        if let Err(e) = std::fs::write(&path, results_json(&results, &metrics).to_json_pretty()) {
             eprintln!("failed to write {path}: {e}");
             all_ok = false;
         } else {
@@ -395,7 +404,7 @@ mod tests {
                 timing,
             ),
         ];
-        let text = results_json(&results).to_json_pretty();
+        let text = results_json(&results, &ksa_obs::snapshot()).to_json_pretty();
         let doc = ksa_obs::json::parse(text.as_bytes()).expect("valid JSON");
         let Some(Value::Arr(exps)) = doc.get("experiments") else {
             panic!("no experiments array in {text}");

@@ -5,12 +5,15 @@
 //! so `cargo test -p ksa-bench` exercises all of them in debug mode.
 
 use crate::ExperimentOutcome;
+use ksa_cert::CertSink;
 use ksa_core::algorithms::{MinOfAll, MinOfDominatingSet};
 use ksa_core::bounds::report::BoundsReport;
 use ksa_core::bounds::stars::{star_family_bounds, star_set_is_product_idempotent};
 use ksa_core::verify::verify_protocol_connectivity;
+use ksa_core::CoreError;
 use ksa_graphs::budget::RunBudget;
 use ksa_graphs::covering::covering_number_of_set;
+use ksa_graphs::ctx::Ctx;
 use ksa_graphs::dist_domination::distributed_domination_number;
 use ksa_graphs::domination::domination_number;
 use ksa_graphs::equal_domination::equal_domination_number_of_set;
@@ -26,7 +29,7 @@ use ksa_runtime::monte_carlo::monte_carlo;
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::homological_connectivity;
 use ksa_topology::pseudosphere::Pseudosphere;
-use ksa_topology::shelling::{is_shellable, is_shellable_certified};
+use ksa_topology::shelling::{find_shelling_order, is_shellable};
 use ksa_topology::simplex::{Simplex, Vertex};
 use ksa_topology::uninterpreted::{closed_above_uninterpreted_complex, uninterpreted_simplex};
 use std::error::Error;
@@ -148,8 +151,9 @@ pub fn fig4() -> R {
     };
     let fig4a = Complex::from_facets(vec![tri(0, 1, 2), tri(0, 2, 3)]);
     let fig4b = Complex::from_facets(vec![tri(0, 1, 2), tri(2, 3, 4)]);
-    let (a, cert_a) = is_shellable_certified(&fig4a, "fig4a")?;
-    let (b, cert_b) = is_shellable_certified(&fig4b, "fig4b")?;
+    let (sink_a, sink_b) = (CertSink::new("fig4a"), CertSink::new("fig4b"));
+    let a = find_shelling_order(&fig4a, &sink_a)?.is_some();
+    let b = find_shelling_order(&fig4b, &sink_b)?.is_some();
     out.line(format!("Figure 4a shellable: {a} (paper: yes)"));
     out.line(format!("Figure 4b shellable: {b} (paper: no)"));
     out.check("4a shellable", a);
@@ -163,8 +167,9 @@ pub fn fig4() -> R {
         "4b verdict matches is_shellable",
         is_shellable(&fig4b)? == b,
     );
-    out.certify(ksa_cert::Cert::Shelling(cert_a));
-    out.certify(ksa_cert::Cert::Shelling(cert_b));
+    for cert in sink_a.into_certs().into_iter().chain(sink_b.into_certs()) {
+        out.certify(cert);
+    }
     Ok(out)
 }
 
@@ -438,7 +443,7 @@ pub fn multiround() -> R {
 /// iterated-interpretation complexes vs the combinatorial multi-round
 /// lower bounds, plus the round-1 anchor to the one-round pipeline.
 pub fn rounds() -> R {
-    use ksa_core::bounds::cross_check::cross_check_round_sweep_certified;
+    use ksa_core::bounds::cross_check::cross_check_round_sweep;
     use ksa_topology::interpretation::protocol_complex_one_round;
     use ksa_topology::rounds::protocol_complex_rounds;
 
@@ -458,8 +463,12 @@ pub fn rounds() -> R {
         ("stars{n=3,s=2}", 2),
     ] {
         let model = registry_model(name)?;
-        let (sweep, certs) =
-            cross_check_round_sweep_certified(&model, 1, rounds, 100_000_000u128, name)?;
+        let sink = CertSink::new(name);
+        let ctx = Ctx {
+            certs: Some(&sink),
+            ..Ctx::from(100_000_000u128)
+        };
+        let sweep = cross_check_round_sweep(&model, 1, rounds, ctx)?;
         for row in &sweep.per_round {
             out.line(format!(
                 "{name:<16} {:>3} {:>8} {:>7} {:>6} {:>9}  {:?}",
@@ -476,8 +485,8 @@ pub fn rounds() -> R {
             );
         }
         out.check(&format!("{name}: sweep consistent"), sweep.is_consistent());
-        for cert in certs {
-            out.certify(ksa_cert::Cert::Homology(cert));
+        for cert in sink.into_certs() {
+            out.certify(cert);
         }
         sweeps.push((name, sweep));
     }
@@ -774,7 +783,7 @@ pub fn cor55() -> R {
 /// timings start a fresh baseline series (see EXPERIMENTS.md).
 pub fn solv() -> R {
     use ksa_core::solvability::{
-        decide_one_round_sweep, decide_one_round_with_table_certified, NoGoodTable, Solvability,
+        decide_one_round_sweep, decide_one_round_with_table, NoGoodTable, Solvability,
     };
     let mut out = ExperimentOutcome::new("solv");
     out.line("extension — exact one-round oblivious solvability (incremental k-sweep, certified)");
@@ -819,7 +828,7 @@ pub fn solv() -> R {
     for (name, pins) in cases {
         let model = registry_model(name)?;
         let k_max = pins.iter().map(|&(k, _, _)| k).max().unwrap_or(1);
-        let sweep = decide_one_round_sweep(&model, k_max, 2_000_000, 50_000_000)?;
+        let sweep = decide_one_round_sweep(&model, k_max, 2_000_000u128, 50_000_000, &mut |_| {})?;
         searched += sweep.searched;
         seeded += sweep.seeded;
         pruned += sweep.pruned;
@@ -839,23 +848,19 @@ pub fn solv() -> R {
             // certified path (cheap after the pruned search) and emit a
             // machine-checkable certificate for the verdict. The sweep
             // uses per-k inputs over {0, …, k}, so value_max = k.
-            let table = NoGoodTable::new();
-            let (scratch, _, cert) = decide_one_round_with_table_certified(
-                &model,
-                k,
-                k,
-                2_000_000,
-                50_000_000,
-                &table,
-                2_000_000,
-                &format!("{name} k={k}"),
-            )?;
+            let sink = CertSink::new(format!("{name} k={k}"));
+            let ctx = Ctx {
+                certs: Some(&sink),
+                ..Ctx::from(2_000_000u128)
+            };
+            let (scratch, _) =
+                decide_one_round_with_table(&model, k, k, ctx, 50_000_000, &NoGoodTable::new())?;
             out.check(
                 &format!("{name} k={k}: certified re-decision agrees with the sweep"),
                 scratch.is_solvable() == verdict.is_solvable(),
             );
-            match cert {
-                Some(cert) => out.certify(ksa_cert::Cert::Solvability(cert)),
+            match sink.into_certs().pop() {
+                Some(cert) => out.certify(cert),
                 None => out.check(&format!("{name} k={k}: verdict was decided"), false),
             }
         }
@@ -942,7 +947,7 @@ pub fn approx() -> R {
 /// `seed`, `count`), so `experiments hunt --models '<name>'` replays it
 /// exactly. `models` overrides the default glob (CLI `--models`).
 pub fn hunt(models: Option<&str>) -> R {
-    use ksa_core::bounds::cross_check::cross_check_round_sweep_by_name;
+    use ksa_core::bounds::cross_check::cross_check_round_sweep;
 
     /// The default selection: one density slice of the builtin seeded
     /// ensemble (8 seeds).
@@ -992,7 +997,11 @@ pub fn hunt(models: Option<&str>) -> R {
             skipped.push(name.to_string());
             continue;
         }
-        match cross_check_round_sweep_by_name(name, 1, ROUNDS, SWEEP_BUDGET) {
+        let sweep = reg
+            .resolve_closed_above(name, SWEEP_BUDGET)
+            .map_err(CoreError::from)
+            .and_then(|model| cross_check_round_sweep(&model, 1, ROUNDS, SWEEP_BUDGET));
+        match sweep {
             Ok(sweep) => {
                 scanned += 1;
                 for row in &sweep.per_round {
@@ -1070,7 +1079,7 @@ fn hunt_csp_cross_check(name: &str) -> Result<HuntCspLine, Box<dyn Error>> {
     use ksa_core::solvability::{decide_one_round_sweep, Solvability};
     const K_MAX: usize = 3;
     let model = registry_model(name)?;
-    let sweep = decide_one_round_sweep(&model, K_MAX, 2_000_000, 50_000_000)?;
+    let sweep = decide_one_round_sweep(&model, K_MAX, 2_000_000u128, 50_000_000, &mut |_| {})?;
     let boundary = sweep
         .verdicts
         .iter()

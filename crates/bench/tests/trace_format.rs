@@ -8,8 +8,6 @@
 //! unescaped quote in a span name fails the test the same way it would
 //! fail the trace viewer.
 
-use std::sync::{Mutex, MutexGuard};
-
 /// Asserts `s` is exactly one JSON document.
 fn assert_valid_json(s: &str) {
     if let Err(e) = ksa_obs::json::parse(s.as_bytes()) {
@@ -17,21 +15,12 @@ fn assert_valid_json(s: &str) {
     }
 }
 
-/// The trace buffer is process-global: `trace_stop` in one test empties
-/// the trace another test is still recording, so the tests take turns.
-static TRACE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Takes [`TRACE_LOCK`], surviving a poisoned lock from a failed test.
-fn trace_lock() -> MutexGuard<'static, ()> {
-    TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[test]
 fn trace_of_a_real_run_is_wellformed_trace_event_json() {
-    let _guard = trace_lock();
-    ksa_obs::trace_start();
-    let results = ksa_bench::run_experiments(&["rounds"]);
-    let doc = ksa_obs::trace_stop();
+    // Each test traces its own scope, so concurrent tests stay out.
+    let scope = ksa_obs::Scope::traced();
+    let results = scope.enter(|| ksa_bench::run_experiments(&["rounds"]));
+    let doc = scope.trace();
     assert!(results[0].0.as_ref().is_ok_and(|o| o.passed));
 
     assert_valid_json(&doc);
@@ -51,8 +40,12 @@ fn trace_of_a_real_run_is_wellformed_trace_event_json() {
 
 #[test]
 fn empty_trace_is_wellformed_too() {
-    // Without trace_start (or with obs compiled out) the export is still
-    // a valid, loadable document.
-    let _guard = trace_lock();
-    assert_valid_json(&ksa_obs::trace_stop());
+    // A traced scope that recorded nothing (or obs compiled out) still
+    // exports a valid, loadable document.
+    let doc = ksa_obs::Scope::traced().trace();
+    assert_valid_json(&doc);
+    assert!(
+        !doc.contains("\"ph\": \"X\""),
+        "no spans were opened:\n{doc}"
+    );
 }

@@ -52,6 +52,7 @@ pub use shelling::{check_shelling, ShellingCert, ShellingVerdict, BRUTE_FORCE_MA
 pub use solvability::{check_solvability, SolvVerdict, SolvabilityCert};
 
 use std::fmt;
+use std::sync::Mutex;
 
 /// Why a certificate failed to parse or verify.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -157,6 +158,54 @@ impl Cert {
             Cert::Homology(c) => check_homology(c),
             Cert::Solvability(c) => check_solvability(c),
         }
+    }
+
+    /// The homology certificate, if this is one.
+    pub fn into_homology(self) -> Option<HomologyCert> {
+        match self {
+            Cert::Homology(c) => Some(c),
+            _ => None,
+        }
+    }
+}
+
+/// Where a long operation puts its certificates: an operation produces
+/// them exactly when its context carries a sink (DESIGN.md §11).
+///
+/// The sink's label names the certified instance in every certificate
+/// it receives; a multi-round sweep appends ` r=<round>`. Certificates
+/// arrive in the operation's canonical order, whatever the schedule.
+#[derive(Debug, Default)]
+pub struct CertSink {
+    label: String,
+    certs: Mutex<Vec<Cert>>,
+}
+
+impl CertSink {
+    /// An empty sink whose certificates are labelled `label`.
+    pub fn new(label: impl Into<String>) -> Self {
+        CertSink {
+            label: label.into(),
+            certs: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The label producers put on the certificates they emit here.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// Appends one certificate.
+    pub fn push(&self, cert: Cert) {
+        self.certs
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push(cert);
+    }
+
+    /// The certificates received, in arrival order.
+    pub fn into_certs(self) -> Vec<Cert> {
+        self.certs.into_inner().unwrap_or_else(|p| p.into_inner())
     }
 }
 

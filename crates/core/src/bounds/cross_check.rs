@@ -21,14 +21,14 @@
 
 use crate::bounds::lower::best_lower_bound;
 use crate::bounds::LowerBound;
-use crate::budget::{CancelToken, RunBudget};
 use crate::error::CoreError;
-use crate::task::{input_complex, Value};
+use crate::task::input_complex;
+use ksa_graphs::budget::RunBudget;
+use ksa_graphs::cancel::CancelToken;
+use ksa_graphs::ctx::Ctx;
 use ksa_models::ClosedAboveModel;
 use ksa_topology::connectivity::Connectivity;
-use ksa_topology::rounds::{
-    protocol_complex_rounds, protocol_complex_rounds_cancellable, RoundsComplex,
-};
+use ksa_topology::rounds::protocol_complex_rounds;
 use std::fmt;
 
 /// One round of the sweep: the topological measurement next to the
@@ -113,112 +113,67 @@ impl fmt::Display for RoundSweepReport {
 /// ([`best_lower_bound`], i.e. Thm 5.1/6.10 on simple models and
 /// Thm 5.4/6.11 on general ones, with the scoping of DESIGN.md §5.3).
 ///
+/// `ctx.budget` admits the input complex and every round's facet
+/// product; `ctx.cancel` is polled per round in the construction and
+/// per rank reduction in the homology sweep. With `ctx.certs` set, every
+/// round's Betti numbers go through the witnessed kernel and one
+/// [`ksa_cert::HomologyCert`] per round lands in the sink, labelled
+/// `"<sink label> r=<round>"`, round 1 first (DESIGN.md §11). The report
+/// is bit-identical with or without a sink, and with a token that never
+/// fires, at any `KSA_THREADS`.
+///
+/// To sweep a builtin registry model by name, resolve it first with
+/// [`ksa_models::registry::Registry::resolve_closed_above`] under the
+/// same budget (the `hunt` experiment and the analysis server do).
+///
 /// # Errors
 ///
-/// [`CoreError::Topology`] when `budget` is exceeded (the input complex
-/// and every round's facet product are admitted against it) and for
-/// `rounds = 0`; graph-layer errors otherwise.
-pub fn cross_check_round_sweep(
+/// [`CoreError::Topology`] when the budget is exceeded and for
+/// `rounds = 0`; [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`]
+/// when the token fires; graph-layer errors otherwise.
+pub fn cross_check_round_sweep<'a>(
     model: &ClosedAboveModel,
     value_max: usize,
     rounds: usize,
-    budget: impl Into<RunBudget>,
+    ctx: impl Into<Ctx<'a>>,
 ) -> Result<RoundSweepReport, CoreError> {
-    round_sweep_impl(model, value_max, rounds, budget.into(), None)
-}
-
-/// The shared sweep body: builds the round complexes (polling `cancel`
-/// per round), sweeps their homology (polling it per rank reduction)
-/// and assembles one row per round.
-fn round_sweep_impl(
-    model: &ClosedAboveModel,
-    value_max: usize,
-    rounds: usize,
-    budget: RunBudget,
-    cancel: Option<&CancelToken>,
-) -> Result<RoundSweepReport, CoreError> {
-    let rc = build_rounds(model, value_max, rounds, budget, cancel)?;
+    let ctx = ctx.into();
+    ctx.cancel.checkpoint()?;
+    let n = ksa_models::ObliviousModel::n(model);
+    let input = input_complex(n, value_max, ctx.budget.max_executions)?;
+    let rc = protocol_complex_rounds(model.generators(), &input, rounds, ctx.clone())?;
     // One chain-engine pass per round: each round's Betti numbers and
     // connectivity share a single closure/rank pass (DESIGN.md §7.3).
-    let homology = match cancel {
-        Some(token) => rc.homology_sweep_cancellable(token)?,
-        None => rc.homology_sweep(),
-    };
     let per_round = (1..=rounds)
-        .zip(homology)
-        .map(|(r, step)| {
-            let measured_connectivity = match step.connectivity {
-                Connectivity::Empty => -2,
-                Connectivity::Exactly(k) | Connectivity::AtLeast(k) => k,
-            };
-            round_row(model, &rc, r, measured_connectivity, step.betti)
+        .zip(rc.homology_sweep(ctx)?)
+        .map(|(round, step)| {
+            let lower = best_lower_bound(model, round)?;
+            Ok(RoundCrossCheck {
+                round,
+                predicted_l: lower.as_ref().map_or(-1, |b| b.impossible_k as isize - 1),
+                lower,
+                measured_connectivity: match step.connectivity {
+                    Connectivity::Empty => -2,
+                    Connectivity::Exactly(k) | Connectivity::AtLeast(k) => k,
+                },
+                betti: step.betti,
+                facets: rc
+                    .complex_at(round)
+                    .expect("round was materialized")
+                    .facet_count(),
+                interned_views: rc.table_at(round).expect("round was materialized").len(),
+            })
         })
-        .collect::<Result<_, _>>()?;
+        .collect::<Result<_, CoreError>>()?;
     Ok(RoundSweepReport {
-        n: ksa_models::ObliviousModel::n(model),
+        n,
         value_max,
         per_round,
     })
 }
 
-/// The `rounds`-round iterated protocol complexes of `model` over
-/// `Ψ(Π, [0, value_max])`, admitted against `budget`.
-fn build_rounds(
-    model: &ClosedAboveModel,
-    value_max: usize,
-    rounds: usize,
-    budget: RunBudget,
-    cancel: Option<&CancelToken>,
-) -> Result<RoundsComplex<Value>, CoreError> {
-    let n = ksa_models::ObliviousModel::n(model);
-    let input = input_complex(n, value_max, budget.max_executions)?;
-    Ok(match cancel {
-        Some(token) => {
-            protocol_complex_rounds_cancellable(model.generators(), &input, rounds, budget, token)?
-        }
-        None => protocol_complex_rounds(model.generators(), &input, rounds, budget)?,
-    })
-}
-
-/// One row of the sweep: the round's measured homology next to the
-/// lower bound and size indicators — shared by the plain and the
-/// certified sweep.
-fn round_row(
-    model: &ClosedAboveModel,
-    rc: &RoundsComplex<Value>,
-    round: usize,
-    measured_connectivity: isize,
-    betti: Vec<usize>,
-) -> Result<RoundCrossCheck, CoreError> {
-    let lower = best_lower_bound(model, round)?;
-    let predicted_l = lower
-        .as_ref()
-        .map(|b| b.impossible_k as isize - 1)
-        .unwrap_or(-1);
-    Ok(RoundCrossCheck {
-        round,
-        lower,
-        predicted_l,
-        measured_connectivity,
-        betti,
-        facets: rc
-            .complex_at(round)
-            .expect("round was materialized")
-            .facet_count(),
-        interned_views: rc.table_at(round).expect("round was materialized").len(),
-    })
-}
-
-/// [`cross_check_round_sweep`] plus one machine-checkable
-/// [`ksa_cert::HomologyCert`] per round (DESIGN.md §11): every row of
-/// the returned report is re-derived through the *certified* Betti
-/// path ([`ksa_topology::chain::reduced_betti_certified`]), whose
-/// witness a standalone checker can re-verify from the facet list
-/// alone. The report is bit-identical to the uncertified sweep — the
-/// certified path runs the same engine in the same canonical order and
-/// additionally records per-round witnesses.
-///
-/// Certificates are labelled `"<label> r=<round>"`, round 1 first.
+/// [`cross_check_round_sweep`] with its homology certificates. Kept
+/// only for `perfbench`; removed when the benchmark harness moves onto `Ctx`.
 ///
 /// # Errors
 ///
@@ -230,71 +185,33 @@ pub fn cross_check_round_sweep_certified(
     budget: impl Into<RunBudget>,
     label: &str,
 ) -> Result<(RoundSweepReport, Vec<ksa_cert::HomologyCert>), CoreError> {
-    let rc = build_rounds(model, value_max, rounds, budget.into(), None)?;
-    let mut per_round = Vec::with_capacity(rounds);
-    let mut certs = Vec::with_capacity(rounds);
-    for r in 1..=rounds {
-        let complex = rc.complex_at(r).expect("round was materialized");
-        let (betti, cert) =
-            ksa_topology::chain::reduced_betti_certified(complex, &format!("{label} r={r}"))
-                .expect("protocol complexes are never void");
-        // `HomologyCert::connectivity` uses the same convention as
-        // `Connectivity::from_reduced_betti`: first nonzero index minus
-        // one, or the dimension when the table vanishes.
-        per_round.push(round_row(model, &rc, r, cert.connectivity as isize, betti)?);
-        certs.push(cert);
-    }
-    Ok((
-        RoundSweepReport {
-            n: ksa_models::ObliviousModel::n(model),
-            value_max,
-            per_round,
+    let sink = ksa_cert::CertSink::new(label);
+    let report = cross_check_round_sweep(
+        model,
+        value_max,
+        rounds,
+        Ctx {
+            certs: Some(&sink),
+            ..Ctx::from(budget.into())
         },
-        certs,
+    )?;
+    Ok((
+        report,
+        sink.into_certs()
+            .into_iter()
+            .filter_map(ksa_cert::Cert::into_homology)
+            .collect(),
     ))
 }
 
-/// [`cross_check_round_sweep`] with the model resolved from the builtin
-/// registry by name (any canonical spec string works:
-/// `"stars{n=3,s=1}"`, `"random{n=3,p=0.5,seed=7,count=4}"`, …). The
-/// same `budget` guards materialization and the sweep, so one ceiling
-/// covers the whole confrontation — this is the entry point the `hunt`
-/// experiment drives over random ensembles.
+/// [`cross_check_round_sweep`] on a builtin registry model, with a
+/// token. Kept only for `perfbench`; removed when the benchmark harness moves onto `Ctx`.
 ///
 /// # Errors
 ///
-/// [`CoreError::Model`] for unknown names, admission refusals, and
-/// models that are not closed-above (the sweep needs generators); the
-/// [`cross_check_round_sweep`] errors otherwise.
-pub fn cross_check_round_sweep_by_name(
-    name: &str,
-    value_max: usize,
-    rounds: usize,
-    budget: impl Into<RunBudget>,
-) -> Result<RoundSweepReport, CoreError> {
-    let budget = budget.into();
-    let resolved = ksa_models::registry::builtin().resolve(name, budget)?;
-    let model = resolved
-        .as_closed_above()
-        .ok_or_else(|| ksa_models::ModelError::Spec {
-            message: format!("{name} is not closed-above; the round sweep needs generators"),
-        })?;
-    cross_check_round_sweep(model, value_max, rounds, budget)
-}
-
-/// [`cross_check_round_sweep_by_name`] with a cooperative
-/// [`CancelToken`] — the entry point the analysis server's `rounds`
-/// query drives, so client deadlines reach every stage of the pipeline.
-/// The token is polled per round in the complex construction and per
-/// rank reduction in the homology sweep, and a fired token surfaces as
-/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`]. A token
-/// that never fires leaves the report bit-identical to
-/// [`cross_check_round_sweep_by_name`] at any `KSA_THREADS`.
-///
-/// # Errors
-///
-/// Same conditions as [`cross_check_round_sweep_by_name`], plus the two
-/// token variants.
+/// [`CoreError::Model`] for unknown names, admission refusals and
+/// models that are not closed-above; the [`cross_check_round_sweep`]
+/// errors otherwise.
 pub fn cross_check_round_sweep_by_name_cancellable(
     name: &str,
     value_max: usize,
@@ -303,14 +220,16 @@ pub fn cross_check_round_sweep_by_name_cancellable(
     cancel: &CancelToken,
 ) -> Result<RoundSweepReport, CoreError> {
     let budget = budget.into();
-    cancel.checkpoint()?;
-    let resolved = ksa_models::registry::builtin().resolve(name, budget)?;
-    let model = resolved
-        .as_closed_above()
-        .ok_or_else(|| ksa_models::ModelError::Spec {
-            message: format!("{name} is not closed-above; the round sweep needs generators"),
-        })?;
-    round_sweep_impl(model, value_max, rounds, budget, Some(cancel))
+    let model = ksa_models::registry::builtin().resolve_closed_above(name, budget)?;
+    cross_check_round_sweep(
+        &model,
+        value_max,
+        rounds,
+        Ctx {
+            cancel: cancel.clone(),
+            ..Ctx::from(budget)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -322,36 +241,41 @@ mod tests {
     fn by_name_matches_direct_call() {
         let direct =
             cross_check_round_sweep(&named::simple_ring(3).unwrap(), 1, 2, 1_000_000u128).unwrap();
-        let by_name = cross_check_round_sweep_by_name("ring{n=3}", 1, 2, 1_000_000u128).unwrap();
-        assert_eq!(direct, by_name);
-        assert!(cross_check_round_sweep_by_name("no such model", 1, 1, 1_000u128).is_err());
+        let reg = ksa_models::registry::builtin();
+        let resolved = reg
+            .resolve_closed_above("ring{n=3}", 1_000_000u128)
+            .unwrap();
+        assert_eq!(
+            cross_check_round_sweep(&resolved, 1, 2, 1_000_000u128).unwrap(),
+            direct
+        );
+        assert!(reg
+            .resolve_closed_above("no such model", 1_000u128)
+            .is_err());
         // Explicit models are rejected with a model error, not a panic.
-        assert!(cross_check_round_sweep_by_name("nonsplit{n=3}", 1, 1, 1_000_000u128).is_err());
+        assert!(reg
+            .resolve_closed_above("nonsplit{n=3}", 1_000_000u128)
+            .is_err());
     }
 
     #[test]
     fn silent_token_matches_plain_sweep() {
-        let plain =
-            cross_check_round_sweep(&named::simple_ring(3).unwrap(), 1, 2, 1_000_000u128).unwrap();
+        let m = named::simple_ring(3).unwrap();
+        let plain = cross_check_round_sweep(&m, 1, 2, 1_000_000u128).unwrap();
         let token = CancelToken::new();
-        let by_name =
-            cross_check_round_sweep_by_name_cancellable("ring{n=3}", 1, 2, 1_000_000u128, &token)
-                .unwrap();
-        assert_eq!(plain, by_name);
+        let ctx = Ctx {
+            cancel: token,
+            ..Ctx::from(1_000_000u128)
+        };
+        assert_eq!(cross_check_round_sweep(&m, 1, 2, ctx).unwrap(), plain);
     }
 
     #[test]
     fn fired_token_interrupts_the_sweep() {
-        let token = CancelToken::new();
-        token.cancel();
-        let err =
-            cross_check_round_sweep_by_name_cancellable("ring{n=3}", 1, 2, 1_000_000u128, &token)
-                .unwrap_err();
-        assert!(matches!(err, CoreError::Cancelled));
-        // Past the by-name entry poll, the pipeline's own polls stop it.
-        let model = named::simple_ring(3).unwrap();
-        let err =
-            round_sweep_impl(&model, 1, 2, RunBudget::new(1_000_000), Some(&token)).unwrap_err();
+        let ctx = Ctx::from(1_000_000u128);
+        ctx.cancel.cancel();
+        let m = named::simple_ring(3).unwrap();
+        let err = cross_check_round_sweep(&m, 1, 2, ctx).unwrap_err();
         assert!(matches!(err, CoreError::Cancelled));
     }
 
@@ -359,17 +283,24 @@ mod tests {
     fn certified_sweep_matches_and_certs_check() {
         let m = named::simple_ring(3).unwrap();
         let plain = cross_check_round_sweep(&m, 1, 2, 1_000_000u128).unwrap();
-        let (certified, certs) =
-            cross_check_round_sweep_certified(&m, 1, 2, 1_000_000u128, "ring{n=3}").unwrap();
+        let sink = ksa_cert::CertSink::new("ring{n=3}");
+        let ctx = Ctx {
+            certs: Some(&sink),
+            ..Ctx::from(1_000_000u128)
+        };
         // The certified path must reproduce the sweep bit-identically.
-        assert_eq!(plain, certified);
+        assert_eq!(cross_check_round_sweep(&m, 1, 2, ctx).unwrap(), plain);
+        let certs = sink.into_certs();
         assert_eq!(certs.len(), 2);
         for (r, cert) in (1..=2usize).zip(&certs) {
-            assert_eq!(cert.label, format!("ring{{n=3}} r={r}"));
-            ksa_cert::check_homology(cert).unwrap();
+            assert_eq!(cert.kind(), "homology");
+            assert_eq!(cert.label(), format!("ring{{n=3}} r={r}"));
+            cert.check().unwrap();
             // Round-trip through the textual format.
-            let text = ksa_cert::Cert::Homology(cert.clone()).to_text();
-            ksa_cert::Cert::parse(&text).unwrap().check().unwrap();
+            ksa_cert::Cert::parse(&cert.to_text())
+                .unwrap()
+                .check()
+                .unwrap();
         }
     }
 

@@ -26,11 +26,11 @@ pub enum CoreError {
         domain: &'static str,
     },
     /// An exhaustive procedure would exceed its explicit budget.
-    Budget(crate::budget::BudgetExceeded),
-    /// The computation's [`CancelToken`](crate::budget::CancelToken)
+    Budget(ksa_graphs::budget::BudgetExceeded),
+    /// The computation's [`CancelToken`](ksa_graphs::cancel::CancelToken)
     /// was cancelled before it finished.
     Cancelled,
-    /// The computation ran past its [`Deadline`](crate::budget::Deadline).
+    /// The computation ran past its [`Deadline`](ksa_graphs::cancel::Deadline).
     DeadlineExceeded,
 }
 
@@ -94,17 +94,17 @@ impl From<ksa_models::ModelError> for CoreError {
     }
 }
 
-impl From<crate::budget::BudgetExceeded> for CoreError {
-    fn from(e: crate::budget::BudgetExceeded) -> Self {
+impl From<ksa_graphs::budget::BudgetExceeded> for CoreError {
+    fn from(e: ksa_graphs::budget::BudgetExceeded) -> Self {
         CoreError::Budget(e)
     }
 }
 
-impl From<crate::budget::Interrupted> for CoreError {
-    fn from(i: crate::budget::Interrupted) -> Self {
+impl From<ksa_graphs::cancel::Interrupted> for CoreError {
+    fn from(i: ksa_graphs::cancel::Interrupted) -> Self {
         match i {
-            crate::budget::Interrupted::Cancelled => CoreError::Cancelled,
-            crate::budget::Interrupted::DeadlineExceeded => CoreError::DeadlineExceeded,
+            ksa_graphs::cancel::Interrupted::Cancelled => CoreError::Cancelled,
+            ksa_graphs::cancel::Interrupted::DeadlineExceeded => CoreError::DeadlineExceeded,
         }
     }
 }
@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn interrupted_maps_to_dedicated_variants() {
-        use crate::budget::Interrupted;
+        use ksa_graphs::cancel::Interrupted;
         assert_eq!(
             CoreError::from(Interrupted::Cancelled),
             CoreError::Cancelled

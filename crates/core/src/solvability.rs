@@ -59,10 +59,12 @@
 //! independent, non-topological check of Thm 5.4's impossibilities — see
 //! the `solv` experiment.
 
-use crate::budget::{CancelToken, RunBudget};
 use crate::error::CoreError;
 use crate::task::Value;
 use ksa_exec::prelude::*;
+use ksa_graphs::budget::RunBudget;
+use ksa_graphs::cancel::CancelToken;
+use ksa_graphs::ctx::Ctx;
 use ksa_graphs::Digraph;
 use ksa_models::ClosedAboveModel;
 use ksa_models::ObliviousModel;
@@ -406,40 +408,40 @@ pub fn decide_one_round(
     exec_limit: usize,
     node_budget: usize,
 ) -> Result<Solvability, CoreError> {
-    decide_one_round_cancellable(model, k, value_max, exec_limit, node_budget, None)
+    decide_in(
+        model,
+        k,
+        value_max,
+        node_budget,
+        &Ctx::from(exec_limit as u128),
+    )
 }
 
-/// [`decide_one_round`] with a cooperative [`CancelToken`]: the racing
-/// portfolio polls a *child* of `cancel` at every decision node, so an
-/// external cancellation (or deadline) stops all strategies and surfaces
-/// as [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`] instead
-/// of a verdict. A token that never fires is side-effect-free: verdicts
-/// stay bit-identical to [`decide_one_round`] at any `KSA_THREADS`.
-///
-/// # Errors
-///
-/// Same conditions as [`decide_one_round`], plus the two token variants.
-fn decide_one_round_cancellable(
+/// [`decide_one_round`] under `ctx`, whose budget is the exec limit:
+/// the racing portfolio polls a *child* of `ctx.cancel` at every
+/// decision node, so an external cancellation (or deadline) stops all
+/// strategies and surfaces as [`CoreError::Cancelled`] /
+/// [`CoreError::DeadlineExceeded`] instead of a verdict. A token that
+/// never fires is side-effect-free: verdicts stay bit-identical at any
+/// `KSA_THREADS`.
+fn decide_in(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,
-    exec_limit: usize,
     node_budget: usize,
-    cancel: Option<&CancelToken>,
+    ctx: &Ctx<'_>,
 ) -> Result<Solvability, CoreError> {
     validate_k(k)?;
-    if let Some(token) = cancel {
-        token.checkpoint()?;
-    }
+    ctx.cancel.checkpoint()?;
     let n = model.n();
     let values = value_max as Value + 1;
-    RunBudget::new(exec_limit as u128).admit(
+    ctx.budget.admit(
         "solvability superset enumeration",
         one_round_raw_estimate(model, n, values),
     )?;
     // The executions of one input assignment are independent of every
     // other assignment's, so assignments are the parallel work unit.
-    let merger = merge_all(n, values, exec_limit, |inputs: &[Value]| {
+    let merger = merge_all(n, values, exec_limit(ctx), |inputs: &[Value]| {
         one_round_enumerate_input(model, n, inputs)
     })?;
     let verdict = solve_csp(
@@ -449,14 +451,17 @@ fn decide_one_round_cancellable(
         merger.executions,
         k,
         node_budget,
-        cancel,
+        &ctx.cancel,
     )?;
     // A fired token degrades the search to `Unknown` (abandoned
     // subtrees publish nothing); report the interruption instead.
-    if let Some(token) = cancel {
-        token.checkpoint()?;
-    }
+    ctx.cancel.checkpoint()?;
     Ok(verdict)
+}
+
+/// The retained-execution cap of a search under `ctx`: its budget.
+fn exec_limit(ctx: &Ctx<'_>) -> usize {
+    usize::try_from(ctx.budget.max_executions).unwrap_or(usize::MAX)
 }
 
 /// The sequential reference implementation of [`decide_one_round`]:
@@ -759,7 +764,7 @@ pub fn decide_rounds_explicit(
         merger.executions,
         k,
         node_budget,
-        None,
+        &CancelToken::new(),
     )
 }
 
@@ -897,16 +902,14 @@ fn solve_csp(
     executions: Vec<Vec<u32>>,
     k: usize,
     node_budget: usize,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
 ) -> Result<Solvability, CoreError> {
     let instance = CspInstance::new(views, executions, k);
     let _span = ksa_obs::span("core", || "csp_decide").arg("views", instance.views.len() as u64);
     if values > MAX_MASK_VALUES {
         // The sequential fallback has no per-node poll point; honor the
         // token at its boundary so a fired token still short-circuits.
-        if let Some(token) = cancel {
-            token.checkpoint()?;
-        }
+        cancel.checkpoint()?;
         return solve_csp_seq(instance, node_budget);
     }
     let sym = CspSymmetry::detect(sym_graphs, &instance.views, values);
@@ -1378,7 +1381,7 @@ struct PrunedCtx<'a> {
     csp: &'a CspInstance,
     sym: &'a CspSymmetry,
     table: &'a NoGoodTable,
-    cancel: Option<&'a CancelToken>,
+    cancel: &'a CancelToken,
     knobs: PrunedKnobs,
     budget: u64,
 }
@@ -1396,10 +1399,8 @@ fn pruned_dfs(
     decisions: &mut Vec<(u32, Value)>,
     stats: &mut SearchStats,
 ) -> PrunedOutcome {
-    if let Some(token) = ctx.cancel {
-        if token.is_cancelled() {
-            return PrunedOutcome::Cancelled;
-        }
+    if ctx.cancel.is_cancelled() {
+        return PrunedOutcome::Cancelled;
     }
     let Some(v) = pick_var(ctx.csp, doms, ctx.knobs.tie_degree) else {
         debug_assert!(complete_assignment_ok(ctx.csp, doms));
@@ -1456,7 +1457,7 @@ fn run_pruned_strategy(
     csp: &CspInstance,
     sym: &CspSymmetry,
     table: &NoGoodTable,
-    cancel: Option<&CancelToken>,
+    cancel: &CancelToken,
     knobs: PrunedKnobs,
     node_budget: usize,
 ) -> (PrunedOutcome, SearchStats) {
@@ -1528,7 +1529,7 @@ fn solve_csp_pruned_portfolio(
     sym: &CspSymmetry,
     table: &NoGoodTable,
     node_budget: usize,
-    external: Option<&CancelToken>,
+    external: &CancelToken,
 ) -> Solvability {
     use std::sync::Mutex;
 
@@ -1542,10 +1543,7 @@ fn solve_csp_pruned_portfolio(
             tie_degree: true,
         },
     ];
-    let race = match external {
-        Some(token) => token.child(),
-        None => CancelToken::new(),
-    };
+    let race = external.child();
     let winner: Mutex<Option<PrunedOutcome>> = Mutex::new(None);
     let csp = &instance;
     let report = |outcome: PrunedOutcome| -> bool {
@@ -1562,8 +1560,7 @@ fn solve_csp_pruned_portfolio(
         for knobs in alternates {
             let (race, report) = (&race, &report);
             s.spawn(move |_| {
-                let (out, stats) =
-                    run_pruned_strategy(csp, sym, table, Some(race), knobs, node_budget);
+                let (out, stats) = run_pruned_strategy(csp, sym, table, race, knobs, node_budget);
                 flush_pruned_perf(&stats);
                 if matches!(out, PrunedOutcome::Solved(_) | PrunedOutcome::Exhausted) && report(out)
                 {
@@ -1574,14 +1571,8 @@ fn solve_csp_pruned_portfolio(
         {
             let (race, report) = (&race, &report);
             s.spawn(move |_| {
-                let (out, stats) = run_pruned_strategy(
-                    csp,
-                    sym,
-                    table,
-                    Some(race),
-                    PrunedKnobs::CANONICAL,
-                    node_budget,
-                );
+                let (out, stats) =
+                    run_pruned_strategy(csp, sym, table, race, PrunedKnobs::CANONICAL, node_budget);
                 flush_pruned_perf(&stats);
                 if matches!(out, PrunedOutcome::Solved(_) | PrunedOutcome::Exhausted) && report(out)
                 {
@@ -1600,7 +1591,9 @@ fn solve_csp_pruned_portfolio(
 
 /// [`decide_one_round`] against a caller-supplied [`NoGoodTable`],
 /// running the single canonical strategy — the deterministic surface of
-/// the differential tests and the incremental-reuse path.
+/// the differential tests, the incremental-reuse path and the
+/// certified decision. `ctx.budget` is the exec limit (as in
+/// [`decide_one_round`]); `ctx.cancel` is polled at every node.
 ///
 /// With an empty fresh table the returned [`SearchStats`] (in
 /// particular `nodes`) are a pure function of the instance; seeding the
@@ -1609,103 +1602,110 @@ fn solve_csp_pruned_portfolio(
 /// [`decide_one_round`] away from the node-budget boundary (the racing
 /// variants can only upgrade `Unknown`).
 ///
+/// With `ctx.certs` set, a decided verdict is also emitted as a
+/// [`ksa_cert::SolvabilityCert`] (DESIGN.md §11): `Solvable` carries the
+/// full decision map, `Unsolvable` an exhaustion attestation built from
+/// the [`SearchStats`]; `Unknown` yields no certificate. The
+/// certificate's closure graphs are enumerated independently of the
+/// search (the same [`ksa_graphs::closure::enumerate_closure`] surface
+/// the replay verifier uses, capped by the budget), so the standalone
+/// checker replays decisions against a graph set the producer did not
+/// hand-pick.
+///
 /// Instances whose value range exceeds the bitmask width fall back to
 /// the sequential reference and report default stats.
 ///
 /// # Errors
 ///
-/// Same conditions as [`decide_one_round`].
-pub fn decide_one_round_with_table(
+/// Same conditions as [`decide_one_round`], plus the two token
+/// variants and, with a sink, graph-layer errors when the closure
+/// enumeration overruns the budget.
+pub fn decide_one_round_with_table<'a>(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,
-    exec_limit: usize,
+    ctx: impl Into<Ctx<'a>>,
     node_budget: usize,
     table: &NoGoodTable,
 ) -> Result<(Solvability, SearchStats), CoreError> {
+    let ctx = ctx.into();
     validate_k(k)?;
+    ctx.cancel.checkpoint()?;
     let n = model.n();
     let values = value_max as Value + 1;
-    RunBudget::new(exec_limit as u128).admit(
+    ctx.budget.admit(
         "solvability superset enumeration",
         one_round_raw_estimate(model, n, values),
     )?;
-    let merger = merge_all_seq(n, values, exec_limit, |inputs: &[Value]| {
+    let merger = merge_all_seq(n, values, exec_limit(&ctx), |inputs: &[Value]| {
         one_round_enumerate_input(model, n, inputs)
     })?;
     let instance = CspInstance::new(merger.views, merger.executions, k);
-    if values > MAX_MASK_VALUES {
-        let verdict = solve_csp_seq(instance, node_budget)?;
-        return Ok((verdict, SearchStats::default()));
+    let (verdict, stats) = if values > MAX_MASK_VALUES {
+        (
+            solve_csp_seq(instance, node_budget)?,
+            SearchStats::default(),
+        )
+    } else {
+        let sym = CspSymmetry::detect(model.generators(), &instance.views, values);
+        record_pruned_entry(&instance, &sym);
+        let (outcome, stats) = run_pruned_strategy(
+            &instance,
+            &sym,
+            table,
+            &ctx.cancel,
+            PrunedKnobs::CANONICAL,
+            node_budget,
+        );
+        flush_pruned_perf(&stats);
+        (finish_pruned(instance, outcome), stats)
+    };
+    ctx.cancel.checkpoint()?;
+    if let Some(sink) = ctx.certs {
+        if let Some(cert) =
+            solvability_cert(model, k, value_max, &verdict, &stats, &ctx, sink.label())?
+        {
+            ksa_obs::count(ksa_obs::Counter::CertsEmitted, 1);
+            sink.push(ksa_cert::Cert::Solvability(cert));
+        }
     }
-    let sym = CspSymmetry::detect(model.generators(), &instance.views, values);
-    record_pruned_entry(&instance, &sym);
-    let (outcome, stats) = run_pruned_strategy(
-        &instance,
-        &sym,
-        table,
-        None,
-        PrunedKnobs::CANONICAL,
-        node_budget,
-    );
-    flush_pruned_perf(&stats);
-    Ok((finish_pruned(instance, outcome), stats))
+    Ok((verdict, stats))
 }
 
-/// [`decide_one_round_with_table`] plus a machine-checkable
-/// [`ksa_cert::SolvabilityCert`] for any decided verdict (DESIGN.md
-/// §11): `Solvable` carries the full decision map, `Unsolvable` an
-/// exhaustion attestation built from the [`SearchStats`]; `Unknown`
-/// yields no certificate. The certificate's closure graphs are
-/// enumerated independently of the search (the same
-/// [`ksa_graphs::closure::enumerate_closure`] surface the replay
-/// verifier uses), so the standalone checker replays decisions against
-/// a graph set the producer did not hand-pick.
-///
-/// # Errors
-///
-/// Same conditions as [`decide_one_round_with_table`], plus graph-layer
-/// errors when the closure enumeration overruns `graph_limit`.
-#[allow(clippy::too_many_arguments)]
-pub fn decide_one_round_with_table_certified(
+/// The certificate of a decided verdict (`None` for `Unknown`).
+fn solvability_cert(
     model: &ClosedAboveModel,
     k: usize,
     value_max: usize,
-    exec_limit: usize,
-    node_budget: usize,
-    table: &NoGoodTable,
-    graph_limit: usize,
+    verdict: &Solvability,
+    stats: &SearchStats,
+    ctx: &Ctx<'_>,
     label: &str,
-) -> Result<(Solvability, SearchStats, Option<ksa_cert::SolvabilityCert>), CoreError> {
-    let (verdict, stats) =
-        decide_one_round_with_table(model, k, value_max, exec_limit, node_budget, table)?;
-    let cert_verdict = match &verdict {
-        Solvability::Solvable(map) => Some(ksa_cert::SolvVerdict::Map(
+) -> Result<Option<ksa_cert::SolvabilityCert>, CoreError> {
+    let verdict = match verdict {
+        Solvability::Solvable(map) => ksa_cert::SolvVerdict::Map(
             map.entries()
                 .map(|(view, d)| (view.iter().map(|&(p, v)| (p as u32, v)).collect(), *d))
                 .collect(),
-        )),
+        ),
         // A search that terminates examines at least the root, and the
         // fallback paths that report default stats still did so: clamp
         // the attestation to the checker's "did any work" floor. The
         // trivial symmetry group has order 1, never 0.
-        Solvability::Unsolvable => Some(ksa_cert::SolvVerdict::Exhausted {
+        Solvability::Unsolvable => ksa_cert::SolvVerdict::Exhausted {
             nodes: stats.nodes.max(1),
             symmetry_order: stats.symmetry_order.max(1),
-        }),
-        Solvability::Unknown => None,
-    };
-    let Some(cv) = cert_verdict else {
-        return Ok((verdict, stats, None));
+        },
+        Solvability::Unknown => return Ok(None),
     };
     let n = model.n();
     let mut graphs = Vec::new();
     for g in model.generators() {
-        graphs.extend(ksa_graphs::closure::enumerate_closure(g, graph_limit)?);
+        graphs.extend(ksa_graphs::closure::enumerate_closure(g, exec_limit(ctx))?);
     }
     graphs.sort();
     graphs.dedup();
-    let graph_sets: Vec<Vec<Vec<u32>>> = graphs
+    let graphs = graphs
         .iter()
         .map(|g| {
             (0..n)
@@ -1717,16 +1717,14 @@ pub fn decide_one_round_with_table_certified(
                 .collect()
         })
         .collect();
-    ksa_obs::count(ksa_obs::Counter::CertsEmitted, 1);
-    let cert = ksa_cert::SolvabilityCert {
+    Ok(Some(ksa_cert::SolvabilityCert {
         label: label.to_string(),
         n: n as u32,
         k: k as u32,
         value_max: value_max as u32,
-        graphs: graph_sets,
-        verdict: cv,
-    };
-    Ok((verdict, stats, Some(cert)))
+        graphs,
+        verdict,
+    }))
 }
 
 // --- Incremental k-sweeps --------------------------------------------------
@@ -1766,70 +1764,29 @@ pub struct KSweep {
 /// verdict stops the monotone reasoning and the remaining entries are
 /// searched individually.
 ///
+/// `ctx.budget` is the exec limit of every searched or lifted instance.
+/// `ctx.cancel` is polled between instances *and* threaded into every
+/// search's portfolio (per-node granularity), so a deadline fires
+/// mid-search; a token that never fires leaves the sweep bit-identical
+/// at any `KSA_THREADS`. The sweep emits no certificates (`ctx.certs`
+/// is not read): certify a single verdict with
+/// [`decide_one_round_with_table`]. `progress` is called after each
+/// instance decided by full search (the analysis server streams it).
+///
 /// # Errors
 ///
 /// [`CoreError::BadParameter`] for `k_max = 0`; otherwise the same
 /// budget conditions as [`decide_one_round`], for any searched or
-/// lifted instance.
-pub fn decide_one_round_sweep(
+/// lifted instance; [`CoreError::Cancelled`] /
+/// [`CoreError::DeadlineExceeded`] when the token fires.
+pub fn decide_one_round_sweep<'a>(
     model: &ClosedAboveModel,
     k_max: usize,
-    exec_limit: usize,
+    ctx: impl Into<Ctx<'a>>,
     node_budget: usize,
-) -> Result<KSweep, CoreError> {
-    sweep_impl(model, k_max, exec_limit, node_budget, None, &mut |_| {})
-}
-
-/// Progress of a k-sweep, reported after each instance decided by full
-/// search (monotone fills are instantaneous and ride along in
-/// `decided`). This is what the analysis server streams to clients.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepProgress {
-    /// The `k` the search just decided.
-    pub k: usize,
-    /// Sweep entries filled so far (searched + seeded + pruned).
-    pub decided: usize,
-    /// Total entries (`k_max`).
-    pub total: usize,
-}
-
-/// [`decide_one_round_sweep`] with a cooperative [`CancelToken`] and a
-/// progress callback: the token is polled between instances *and*
-/// threaded into every search's portfolio (per-node granularity), so a
-/// deadline fires mid-search, not just between searches. A token that
-/// never fires leaves the sweep bit-identical to
-/// [`decide_one_round_sweep`] at any `KSA_THREADS`.
-///
-/// # Errors
-///
-/// Same conditions as [`decide_one_round_sweep`], plus
-/// [`CoreError::Cancelled`] / [`CoreError::DeadlineExceeded`].
-pub fn decide_one_round_sweep_cancellable(
-    model: &ClosedAboveModel,
-    k_max: usize,
-    exec_limit: usize,
-    node_budget: usize,
-    cancel: &CancelToken,
     progress: &mut dyn FnMut(SweepProgress),
 ) -> Result<KSweep, CoreError> {
-    sweep_impl(
-        model,
-        k_max,
-        exec_limit,
-        node_budget,
-        Some(cancel),
-        progress,
-    )
-}
-
-fn sweep_impl(
-    model: &ClosedAboveModel,
-    k_max: usize,
-    exec_limit: usize,
-    node_budget: usize,
-    cancel: Option<&CancelToken>,
-    progress: &mut dyn FnMut(SweepProgress),
-) -> Result<KSweep, CoreError> {
+    let ctx = ctx.into();
     validate_k(k_max)?;
     let mut verdicts: Vec<Option<Solvability>> = vec![None; k_max];
     let (mut searched, mut seeded, mut pruned) = (0usize, 0usize, 0usize);
@@ -1837,7 +1794,7 @@ fn sweep_impl(
     while lo <= hi {
         let mid = lo + (hi - lo) / 2;
         searched += 1;
-        match decide_one_round_cancellable(model, mid, mid, exec_limit, node_budget, cancel)? {
+        match decide_in(model, mid, mid, node_budget, &ctx)? {
             Solvability::Solvable(witness) => {
                 verdicts[mid - 1] = Some(Solvability::Solvable(witness.clone()));
                 let mut lifted = witness;
@@ -1845,7 +1802,7 @@ fn sweep_impl(
                     if verdicts[k - 1].is_some() {
                         break;
                     }
-                    lifted = lift_decision_map(model, k - 1, &lifted, exec_limit)?;
+                    lifted = lift_decision_map(model, k - 1, &lifted, &ctx)?;
                     verdicts[k - 1] = Some(Solvability::Solvable(lifted.clone()));
                     seeded += 1;
                 }
@@ -1874,14 +1831,7 @@ fn sweep_impl(
     for k in 1..=k_max {
         if verdicts[k - 1].is_none() {
             searched += 1;
-            verdicts[k - 1] = Some(decide_one_round_cancellable(
-                model,
-                k,
-                k,
-                exec_limit,
-                node_budget,
-                cancel,
-            )?);
+            verdicts[k - 1] = Some(decide_in(model, k, k, node_budget, &ctx)?);
             report_sweep_progress(progress, k, &verdicts);
         }
     }
@@ -1896,6 +1846,45 @@ fn sweep_impl(
         seeded,
         pruned,
     })
+}
+
+/// Progress of a k-sweep, reported after each instance decided by full
+/// search (monotone fills are instantaneous and ride along in
+/// `decided`). This is what the analysis server streams to clients.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SweepProgress {
+    /// The `k` the search just decided.
+    pub k: usize,
+    /// Sweep entries filled so far (searched + seeded + pruned).
+    pub decided: usize,
+    /// Total entries (`k_max`).
+    pub total: usize,
+}
+
+/// [`decide_one_round_sweep`] with a token. Kept only for `perfbench`;
+/// removed when the benchmark harness moves onto `Ctx`.
+///
+/// # Errors
+///
+/// Same conditions as [`decide_one_round_sweep`].
+pub fn decide_one_round_sweep_cancellable(
+    model: &ClosedAboveModel,
+    k_max: usize,
+    exec_limit: usize,
+    node_budget: usize,
+    cancel: &CancelToken,
+    progress: &mut dyn FnMut(SweepProgress),
+) -> Result<KSweep, CoreError> {
+    decide_one_round_sweep(
+        model,
+        k_max,
+        Ctx {
+            cancel: cancel.clone(),
+            ..Ctx::from(exec_limit as u128)
+        },
+        node_budget,
+        progress,
+    )
 }
 
 fn report_sweep_progress(
@@ -1925,16 +1914,16 @@ fn lift_decision_map(
     model: &ClosedAboveModel,
     k_from: usize,
     map: &DecisionMap,
-    exec_limit: usize,
+    ctx: &Ctx<'_>,
 ) -> Result<DecisionMap, CoreError> {
     let n = model.n();
     let cap = k_from as Value;
     let values_to = cap + 2;
-    RunBudget::new(exec_limit as u128).admit(
+    ctx.budget.admit(
         "solvability sweep lift enumeration",
         one_round_raw_estimate(model, n, values_to),
     )?;
-    let merger = merge_all_seq(n, values_to, exec_limit, |inputs: &[Value]| {
+    let merger = merge_all_seq(n, values_to, exec_limit(ctx), |inputs: &[Value]| {
         one_round_enumerate_input(model, n, inputs)
     })?;
     let mut entries: Vec<(FlatView<Value>, Value)> = Vec::with_capacity(merger.views.len());
@@ -2009,7 +1998,8 @@ mod pruned_tests {
         // refute it at the root (zero or one decision nodes).
         let m = named::star_unions(3, 1).unwrap();
         let table = NoGoodTable::new();
-        let (verdict, stats) = decide_one_round_with_table(&m, 2, 2, EXECS, NODES, &table).unwrap();
+        let (verdict, stats) =
+            decide_one_round_with_table(&m, 2, 2, EXECS as u128, NODES, &table).unwrap();
         assert_eq!(verdict, Solvability::Unsolvable);
         assert!(stats.nodes <= 1, "nodes = {}", stats.nodes);
     }
@@ -2018,9 +2008,9 @@ mod pruned_tests {
     fn table_reuse_only_shrinks_work() {
         let m = named::symmetric_ring(3).unwrap();
         let table = NoGoodTable::new();
-        let (v1, s1) = decide_one_round_with_table(&m, 1, 1, EXECS, NODES, &table).unwrap();
+        let (v1, s1) = decide_one_round_with_table(&m, 1, 1, EXECS as u128, NODES, &table).unwrap();
         let published = table.len();
-        let (v2, s2) = decide_one_round_with_table(&m, 1, 1, EXECS, NODES, &table).unwrap();
+        let (v2, s2) = decide_one_round_with_table(&m, 1, 1, EXECS as u128, NODES, &table).unwrap();
         assert_eq!(v1, v2);
         assert!(s2.nodes <= s1.nodes);
         assert!(s2.nogood_inserts == 0, "everything already published");
@@ -2030,46 +2020,50 @@ mod pruned_tests {
     #[test]
     fn certified_decide_emits_checkable_certs() {
         let m = named::star_unions(3, 1).unwrap();
+        let certified = |k: usize, label: &str| {
+            let sink = ksa_cert::CertSink::new(label);
+            let ctx = Ctx {
+                certs: Some(&sink),
+                ..Ctx::from(EXECS as u128)
+            };
+            let (verdict, _) =
+                decide_one_round_with_table(&m, k, k, ctx, NODES, &NoGoodTable::new()).unwrap();
+            let [cert] = <[_; 1]>::try_from(sink.into_certs()).expect("one certificate");
+            (verdict, cert)
+        };
         // k = 3 is solvable: the certificate carries the decision map
         // and the standalone checker replays every execution.
-        let table = NoGoodTable::new();
-        let (verdict, _, cert) =
-            decide_one_round_with_table_certified(&m, 3, 3, EXECS, NODES, &table, EXECS, "s31 k=3")
-                .unwrap();
+        let (verdict, cert) = certified(3, "s31 k=3");
         assert!(verdict.is_solvable());
-        let cert = cert.expect("decided verdicts carry a certificate");
-        ksa_cert::check_solvability(&cert).unwrap();
-        let text = ksa_cert::Cert::Solvability(cert).to_text();
-        ksa_cert::Cert::parse(&text).unwrap().check().unwrap();
+        assert_eq!(cert.label(), "s31 k=3");
+        cert.check().unwrap();
+        ksa_cert::Cert::parse(&cert.to_text())
+            .unwrap()
+            .check()
+            .unwrap();
 
         // k = 2 is unsolvable: the certificate is an exhaustion
         // attestation with sane statistics.
-        let table = NoGoodTable::new();
-        let (verdict, _, cert) =
-            decide_one_round_with_table_certified(&m, 2, 2, EXECS, NODES, &table, EXECS, "s31 k=2")
-                .unwrap();
+        let (verdict, cert) = certified(2, "s31 k=2");
         assert_eq!(verdict, Solvability::Unsolvable);
-        let cert = cert.expect("decided verdicts carry a certificate");
         assert!(matches!(
-            cert.verdict,
-            ksa_cert::SolvVerdict::Exhausted { .. }
+            &cert,
+            ksa_cert::Cert::Solvability(c)
+                if matches!(c.verdict, ksa_cert::SolvVerdict::Exhausted { .. })
         ));
-        ksa_cert::check_solvability(&cert).unwrap();
+        cert.check().unwrap();
 
-        // The certified wrapper must not perturb the plain verdict.
+        // The sink must not perturb the plain verdict.
         let table = NoGoodTable::new();
-        let (plain, _) = decide_one_round_with_table(&m, 3, 3, EXECS, NODES, &table).unwrap();
-        let table = NoGoodTable::new();
-        let (wrapped, _, _) =
-            decide_one_round_with_table_certified(&m, 3, 3, EXECS, NODES, &table, EXECS, "x")
-                .unwrap();
-        assert_eq!(plain, wrapped);
+        let (plain, _) =
+            decide_one_round_with_table(&m, 3, 3, EXECS as u128, NODES, &table).unwrap();
+        assert_eq!(plain, certified(3, "x").0);
     }
 
     #[test]
     fn sweep_matches_scratch_on_the_kernel() {
         let m = named::star_unions(3, 1).unwrap();
-        let sweep = decide_one_round_sweep(&m, 3, EXECS, NODES).unwrap();
+        let sweep = decide_one_round_sweep(&m, 3, EXECS as u128, NODES, &mut |_| {}).unwrap();
         assert_eq!(sweep.verdicts.len(), 3);
         assert_eq!(sweep.verdicts[0], Solvability::Unsolvable);
         assert_eq!(sweep.verdicts[1], Solvability::Unsolvable);
@@ -2092,7 +2086,7 @@ mod pruned_tests {
     #[test]
     fn sweep_lifted_witnesses_are_complete_maps() {
         let m = named::simple_ring(3).unwrap();
-        let sweep = decide_one_round_sweep(&m, 3, EXECS, NODES).unwrap();
+        let sweep = decide_one_round_sweep(&m, 3, EXECS as u128, NODES, &mut |_| {}).unwrap();
         for (i, v) in sweep.verdicts.iter().enumerate() {
             if let Solvability::Solvable(map) = v {
                 let scratch = decide_one_round(&m, i + 1, i + 1, EXECS, NODES).unwrap();
@@ -2108,7 +2102,7 @@ mod pruned_tests {
     #[test]
     fn sweep_rejects_zero_k_max() {
         let m = named::simple_ring(3).unwrap();
-        assert!(decide_one_round_sweep(&m, 0, EXECS, NODES).is_err());
+        assert!(decide_one_round_sweep(&m, 0, EXECS as u128, NODES, &mut |_| {}).is_err());
     }
 }
 

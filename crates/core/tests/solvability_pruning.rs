@@ -113,10 +113,10 @@ proptest! {
         // and stats — the deterministic anchor of the differential suite.
         let fresh_a = NoGoodTable::new();
         let (v_a, s_a) =
-            decide_one_round_with_table(&model, k, k, EXECS, NODES, &fresh_a).expect("in budget");
+            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &fresh_a).expect("in budget");
         let fresh_b = NoGoodTable::new();
         let (v_b, s_b) =
-            decide_one_round_with_table(&model, k, k, EXECS, NODES, &fresh_b).expect("in budget");
+            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &fresh_b).expect("in budget");
         prop_assert_eq!(&v_a, &v_b, "{} k={}", name, k);
         prop_assert_eq!(s_a, s_b);
 
@@ -135,7 +135,7 @@ proptest! {
             seeded.seed(first);
         }
         let (v_s, s_s) =
-            decide_one_round_with_table(&model, k, k, EXECS, NODES, &seeded).expect("in budget");
+            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &seeded).expect("in budget");
         prop_assert_eq!(&v_a, &v_s, "{} k={} (seeded)", name, k);
         prop_assert!(s_s.nodes <= s_a.nodes, "{} k={}: {} > {}", name, k, s_s.nodes, s_a.nodes);
         prop_assert!(s_s.nogood_inserts <= s_a.nogood_inserts);
@@ -149,7 +149,7 @@ proptest! {
         }
         let before = useless.len();
         let (v_u, s_u) =
-            decide_one_round_with_table(&model, k, k, EXECS, NODES, &useless).expect("in budget");
+            decide_one_round_with_table(&model, k, k, EXECS as u128, NODES, &useless).expect("in budget");
         prop_assert_eq!(&v_a, &v_u, "{} k={} (useless)", name, k);
         prop_assert_eq!(s_u.nodes, s_a.nodes);
         prop_assert_eq!(s_u.nogood_hits, 0u64);
@@ -212,7 +212,8 @@ fn portfolio_verdicts_survive_table_churn() {
     // Churn: many seeded searches of both k values on shared tables.
     let table = NoGoodTable::new();
     for _ in 0..3 {
-        let (v, _) = decide_one_round_with_table(&model, 2, 2, EXECS, NODES, &table).unwrap();
+        let (v, _) =
+            decide_one_round_with_table(&model, 2, 2, EXECS as u128, NODES, &table).unwrap();
         assert_eq!(v, Solvability::Unsolvable);
     }
     let after = decide_one_round(&model, 2, 2, EXECS, NODES).unwrap();

@@ -52,7 +52,7 @@ fn sweep_matches_from_scratch_decisions_across_the_zoo() {
         let model = reg
             .resolve_closed_above(name, RunBudget::DEFAULT)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let sweep = decide_one_round_sweep(&model, K_MAX, EXECS, NODES)
+        let sweep = decide_one_round_sweep(&model, K_MAX, EXECS as u128, NODES, &mut |_| {})
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(sweep.verdicts.len(), K_MAX, "{name}");
         assert_eq!(
@@ -77,7 +77,8 @@ fn sweep_vectors_are_monotone() {
     let reg = registry::builtin();
     for name in ZOO {
         let model = reg.resolve_closed_above(name, RunBudget::DEFAULT).unwrap();
-        let sweep = decide_one_round_sweep(&model, K_MAX, EXECS, NODES).unwrap();
+        let sweep =
+            decide_one_round_sweep(&model, K_MAX, EXECS as u128, NODES, &mut |_| {}).unwrap();
         for k in 1..K_MAX {
             let below = &sweep.verdicts[k - 1];
             let above = &sweep.verdicts[k];
@@ -98,7 +99,8 @@ fn seeded_witnesses_replay_as_genuine_algorithms() {
     let reg = registry::builtin();
     for name in ZOO {
         let model = reg.resolve_closed_above(name, RunBudget::DEFAULT).unwrap();
-        let sweep = decide_one_round_sweep(&model, K_MAX, EXECS, NODES).unwrap();
+        let sweep =
+            decide_one_round_sweep(&model, K_MAX, EXECS as u128, NODES, &mut |_| {}).unwrap();
         for k in 1..=K_MAX {
             if let Solvability::Solvable(map) = &sweep.verdicts[k - 1] {
                 let rep = verify_decision_map(&model, k, k, map, GRAPHS)
@@ -115,5 +117,5 @@ fn sweep_rejects_zero_k_max() {
     let model = reg
         .resolve_closed_above("ring{n=3}", RunBudget::DEFAULT)
         .unwrap();
-    assert!(decide_one_round_sweep(&model, 0, EXECS, NODES).is_err());
+    assert!(decide_one_round_sweep(&model, 0, EXECS as u128, NODES, &mut |_| {}).is_err());
 }

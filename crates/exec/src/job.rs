@@ -7,6 +7,10 @@
 //! `ThreadPool::spawn`). Stack jobs are sound because the frame that owns
 //! them blocks — actively working, or on a lock — until the job's latch is
 //! set, which happens only *after* the result has been written.
+//!
+//! Both kinds capture the spawner's [`ksa_obs::Scope::current`] when
+//! they are created and run under it, so a scope counts exactly the work
+//! started under it whichever worker steals the job.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -141,6 +145,7 @@ enum JobResult<R> {
 /// so the referenced closure and result slot never outlive the frame.
 pub(crate) struct StackJob<L: Latch, F, R> {
     latch: L,
+    scope: ksa_obs::Scope,
     func: UnsafeCell<Option<F>>,
     result: UnsafeCell<JobResult<R>>,
 }
@@ -153,6 +158,7 @@ where
     pub(crate) fn new(latch: L, func: F) -> Self {
         StackJob {
             latch,
+            scope: ksa_obs::Scope::current(),
             func: UnsafeCell::new(Some(func)),
             result: UnsafeCell::new(JobResult::Pending),
         }
@@ -193,7 +199,10 @@ where
     unsafe fn execute(this: *const Self) {
         let this = &*this;
         let func = (*this.func.get()).take().expect("StackJob executed twice");
-        let result = match panic::catch_unwind(AssertUnwindSafe(func)) {
+        let result = match this
+            .scope
+            .enter(|| panic::catch_unwind(AssertUnwindSafe(func)))
+        {
             Ok(r) => JobResult::Ok(r),
             Err(p) => JobResult::Panic(p),
         };
@@ -207,12 +216,16 @@ where
 /// closure the spawner wraps around the user callback, so `execute` never
 /// unwinds into the worker loop.
 pub(crate) struct HeapJob {
+    scope: ksa_obs::Scope,
     func: Box<dyn FnOnce() + Send>,
 }
 
 impl HeapJob {
     pub(crate) fn new(func: Box<dyn FnOnce() + Send>) -> Box<Self> {
-        Box::new(HeapJob { func })
+        Box::new(HeapJob {
+            scope: ksa_obs::Scope::current(),
+            func,
+        })
     }
 
     /// Erases the boxed job; ownership passes to the returned reference
@@ -224,7 +237,7 @@ impl HeapJob {
 
 impl Job for HeapJob {
     unsafe fn execute(this: *const Self) {
-        let boxed = Box::from_raw(this as *mut Self);
-        (boxed.func)();
+        let HeapJob { scope, func } = *Box::from_raw(this as *mut Self);
+        scope.enter(func);
     }
 }

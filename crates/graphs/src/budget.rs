@@ -9,11 +9,9 @@
 //! oversized instance fails fast with a [`BudgetExceeded`] instead of
 //! running unbounded; callers can catch it and fall back to sampling.
 //!
-//! This type started in `ksa-runtime::checker`, moved down to `ksa-core`
-//! for the solvability search, and now lives at the bottom of the
-//! workspace (`ksa-graphs` is the lowest domain crate) so the topology
-//! layer can enforce it too without a dependency cycle. `ksa-core::budget`
-//! and `ksa-runtime::checker` re-export it from the old paths.
+//! It lives at the bottom of the workspace (`ksa-graphs` is the lowest
+//! domain crate) so every layer enforces it without a dependency cycle;
+//! long operations take it inside a [`Ctx`](crate::ctx::Ctx).
 
 use std::error::Error;
 use std::fmt;

@@ -29,8 +29,8 @@
 //! [`RunBudget`](crate::budget::RunBudget) guards *how much* work a
 //! computation may do; a [`CancelToken`] decides *whether it may keep
 //! going at all*. Both live at the bottom of the workspace so every
-//! layer shares one discipline; `ksa-core` re-exports them side by side
-//! in `ksa_core::budget`.
+//! layer shares one discipline, and travel together in a
+//! [`Ctx`](crate::ctx::Ctx).
 
 use std::error::Error;
 use std::fmt;

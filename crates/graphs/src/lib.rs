@@ -50,6 +50,7 @@ pub mod budget;
 pub mod cancel;
 pub mod closure;
 pub mod covering;
+pub mod ctx;
 pub mod digraph;
 pub mod dist_domination;
 pub mod domination;

@@ -30,11 +30,21 @@
 //! they want counted, and the join's synchronization publishes the
 //! increments.
 //!
+//! # Scopes
+//!
+//! A [`Scope`] counts (and, if traced, records the spans of) exactly
+//! the work run under [`Scope::enter`]: each count also lands in the
+//! current scope and every scope enclosing it. Executors capture the
+//! spawner's [`Scope::current`] and run each job under it, so a scope's
+//! counts do not depend on which worker stole what (DESIGN.md §9.2).
+//! The trace buffer lives on the scope; there is no process-wide trace.
+//!
 //! # Feature gating
 //!
 //! With the `enabled` feature off, every entry point is a no-op that the
 //! optimizer deletes: counters vanish, [`span`] returns a unit guard and
-//! never evaluates its name closure, [`snapshot`] returns empty tiers.
+//! never evaluates its name closure, [`snapshot`] returns empty tiers,
+//! and [`Scope`] is an empty handle.
 //! Downstream crates therefore call the API unconditionally.
 //!
 //! # JSON
@@ -101,8 +111,8 @@ pub enum Counter {
     CheckerExecutions,
     /// Graph-layer domination/covering queries answered.
     DominationQueries,
-    /// Machine-checkable certificates produced by `*_certified`
-    /// producers (one per verdict, regardless of schedule).
+    /// Machine-checkable certificates emitted into a certificate sink
+    /// (one per verdict, regardless of schedule).
     CertsEmitted,
     /// Certificates re-verified by the standalone `ksa-cert` checkers
     /// (one per check call, accept or reject).
@@ -294,8 +304,9 @@ impl MetricsSnapshot {
             .unwrap_or(0)
     }
 
-    /// Deterministic tier as a delta against an `earlier` snapshot —
-    /// how tests scope counts to one workload on shared global state.
+    /// Deterministic tier as a delta against an `earlier` snapshot of
+    /// the process totals (a [`Scope`] measures one workload without
+    /// diffing).
     pub fn det_delta(&self, earlier: &MetricsSnapshot) -> Vec<(&'static str, u64)> {
         self.det
             .iter()
@@ -319,19 +330,49 @@ mod imp {
     use std::borrow::Cow;
     use std::cell::Cell;
     use std::fmt::Write as _;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{Arc, Mutex, OnceLock};
+    use std::thread::ThreadId;
     use std::time::Instant;
 
     const DET: usize = Counter::ALL.len();
     const PERF: usize = PerfCounter::ALL.len();
 
+    /// Both tiers as relaxed atomics: one thread's shard, or one
+    /// scope's running totals.
+    struct Tiers {
+        det: [AtomicU64; DET],
+        perf: [AtomicU64; PERF],
+    }
+
+    impl Tiers {
+        fn new() -> Self {
+            Tiers {
+                det: std::array::from_fn(|_| AtomicU64::new(0)),
+                perf: std::array::from_fn(|_| AtomicU64::new(0)),
+            }
+        }
+
+        fn snapshot(&self, workers: Vec<WorkerPerf>) -> MetricsSnapshot {
+            MetricsSnapshot {
+                det: Counter::ALL
+                    .iter()
+                    .map(|&c| (c.name(), self.det[c as usize].load(Ordering::Relaxed)))
+                    .collect(),
+                perf: PerfCounter::ALL
+                    .iter()
+                    .map(|&p| (p.name(), self.perf[p as usize].load(Ordering::Relaxed)))
+                    .collect(),
+                workers,
+            }
+        }
+    }
+
     /// One thread's counters. Shards are append-only in a global list:
     /// a dead thread's totals must keep contributing to snapshots.
     struct Shard {
         label: String,
-        det: [AtomicU64; DET],
-        perf: [AtomicU64; PERF],
+        tiers: Tiers,
     }
 
     fn shards() -> &'static Mutex<Vec<Arc<Shard>>> {
@@ -339,8 +380,21 @@ mod imp {
         SHARDS.get_or_init(|| Mutex::new(Vec::new()))
     }
 
+    /// One scope: its totals, the scope it was opened in, and the trace
+    /// buffer its spans land in (its own, or the nearest traced
+    /// ancestor's).
+    pub struct Node {
+        parent: Option<Arc<Node>>,
+        tiers: Tiers,
+        trace: Option<Arc<TraceBuf>>,
+    }
+
     thread_local! {
         static LOCAL: OnceLock<Arc<Shard>> = const { OnceLock::new() };
+        /// The scope this thread runs under, or null. The node is kept
+        /// alive by the `enter` frame that installed it further up this
+        /// thread's stack, which restores the previous value on exit.
+        static CURRENT: Cell<*const Node> = const { Cell::new(std::ptr::null()) };
     }
 
     fn with_local<R>(f: impl FnOnce(&Shard) -> R) -> R {
@@ -348,8 +402,7 @@ mod imp {
             let shard = cell.get_or_init(|| {
                 let shard = Arc::new(Shard {
                     label: std::thread::current().name().unwrap_or("?").to_string(),
-                    det: std::array::from_fn(|_| AtomicU64::new(0)),
-                    perf: std::array::from_fn(|_| AtomicU64::new(0)),
+                    tiers: Tiers::new(),
                 });
                 shards()
                     .lock()
@@ -361,36 +414,54 @@ mod imp {
         })
     }
 
+    /// Calls `f` on the current scope and every scope enclosing it.
+    fn for_each_scope(f: impl Fn(&Tiers)) {
+        CURRENT.with(|cur| {
+            // SAFETY: see `CURRENT`.
+            let mut node = unsafe { cur.get().as_ref() };
+            while let Some(n) = node {
+                f(&n.tiers);
+                node = n.parent.as_deref();
+            }
+        });
+    }
+
     pub fn count(c: Counter, n: u64) {
         if n != 0 {
-            with_local(|s| s.det[c as usize].fetch_add(n, Ordering::Relaxed));
+            with_local(|s| s.tiers.det[c as usize].fetch_add(n, Ordering::Relaxed));
+            for_each_scope(|t| {
+                t.det[c as usize].fetch_add(n, Ordering::Relaxed);
+            });
         }
     }
 
     pub fn perf_count(p: PerfCounter, n: u64) {
         if n != 0 {
-            with_local(|s| s.perf[p as usize].fetch_add(n, Ordering::Relaxed));
+            with_local(|s| s.tiers.perf[p as usize].fetch_add(n, Ordering::Relaxed));
+            for_each_scope(|t| {
+                t.perf[p as usize].fetch_add(n, Ordering::Relaxed);
+            });
         }
     }
 
     pub fn snapshot() -> MetricsSnapshot {
         let shards = shards().lock().expect("obs shards");
-        let mut det = [0u64; DET];
-        let mut perf = [0u64; PERF];
+        let total = Tiers::new();
         let mut workers = Vec::new();
         for shard in shards.iter() {
-            for (i, slot) in shard.det.iter().enumerate() {
-                det[i] += slot.load(Ordering::Relaxed);
+            for (sum, slot) in total.det.iter().zip(&shard.tiers.det) {
+                sum.fetch_add(slot.load(Ordering::Relaxed), Ordering::Relaxed);
             }
-            for (i, slot) in shard.perf.iter().enumerate() {
-                perf[i] += slot.load(Ordering::Relaxed);
+            for (sum, slot) in total.perf.iter().zip(&shard.tiers.perf) {
+                sum.fetch_add(slot.load(Ordering::Relaxed), Ordering::Relaxed);
             }
             if shard.label.starts_with("ksa-exec-") {
+                let perf = |p: PerfCounter| shard.tiers.perf[p as usize].load(Ordering::Relaxed);
                 workers.push(WorkerPerf {
                     label: shard.label.clone(),
-                    steals: shard.perf[PerfCounter::ExecSteals as usize].load(Ordering::Relaxed),
-                    parks: shard.perf[PerfCounter::ExecParks as usize].load(Ordering::Relaxed),
-                    spawns: shard.perf[PerfCounter::ExecSpawns as usize].load(Ordering::Relaxed),
+                    steals: perf(PerfCounter::ExecSteals),
+                    parks: perf(PerfCounter::ExecParks),
+                    spawns: perf(PerfCounter::ExecSpawns),
                 });
             }
         }
@@ -407,16 +478,106 @@ mod imp {
                 false
             }
         });
-        MetricsSnapshot {
-            det: Counter::ALL
-                .iter()
-                .map(|&c| (c.name(), det[c as usize]))
-                .collect(),
-            perf: PerfCounter::ALL
-                .iter()
-                .map(|&p| (p.name(), perf[p as usize]))
-                .collect(),
-            workers,
+        total.snapshot(workers)
+    }
+
+    // ---- scopes ----------------------------------------------------------
+
+    /// An observation scope: counts (and, if traced, records the spans
+    /// of) the work run under [`Scope::enter`] (DESIGN.md §9.2).
+    ///
+    /// A scope opened while another is current is nested in it, so its
+    /// counts also land in the enclosing scope. `ksa-exec` jobs capture
+    /// [`Scope::current`] where they are created and run under it, so a
+    /// scope counts the same work whichever worker runs it. Threads
+    /// started with `std::thread` begin outside every scope.
+    #[derive(Clone)]
+    pub struct Scope(Option<Arc<Node>>);
+
+    impl Default for Scope {
+        fn default() -> Self {
+            Scope::new()
+        }
+    }
+
+    impl Scope {
+        /// A scope nested in the calling thread's current scope, if any;
+        /// its spans go to the nearest traced enclosing scope.
+        pub fn new() -> Scope {
+            Scope::open(None)
+        }
+
+        /// A scope that records the spans opened under it into its own
+        /// trace buffer, timed from its creation.
+        pub fn traced() -> Scope {
+            Scope::open(Some(Arc::new(TraceBuf {
+                epoch: Instant::now(),
+                state: Mutex::new(TraceState::default()),
+            })))
+        }
+
+        fn open(trace: Option<Arc<TraceBuf>>) -> Scope {
+            let parent = Scope::current().0;
+            let trace = trace.or_else(|| parent.as_ref().and_then(|p| p.trace.clone()));
+            Scope(Some(Arc::new(Node {
+                parent,
+                tiers: Tiers::new(),
+                trace,
+            })))
+        }
+
+        /// The calling thread's current scope — the empty scope outside
+        /// every scope.
+        pub fn current() -> Scope {
+            CURRENT.with(|cur| {
+                let node = cur.get();
+                if node.is_null() {
+                    return Scope(None);
+                }
+                // SAFETY: a live `enter` frame holds a strong count (see
+                // `CURRENT`), so taking one more is sound.
+                unsafe {
+                    Arc::increment_strong_count(node);
+                    Scope(Some(Arc::from_raw(node)))
+                }
+            })
+        }
+
+        /// Runs `f` with this scope current on the calling thread (the
+        /// empty scope: outside every scope), restoring the previous one
+        /// afterwards.
+        pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+            struct Restore(*const Node);
+            impl Drop for Restore {
+                fn drop(&mut self) {
+                    CURRENT.with(|cur| cur.set(self.0));
+                }
+            }
+            let node = self.0.as_ref().map_or(std::ptr::null(), Arc::as_ptr);
+            let _restore = Restore(CURRENT.with(|cur| cur.replace(node)));
+            f()
+        }
+
+        /// Both tiers as counted under this scope so far (`workers`
+        /// stays empty: per-worker rows are process-wide, see
+        /// [`snapshot`](crate::snapshot)).
+        pub fn snapshot(&self) -> MetricsSnapshot {
+            match &self.0 {
+                Some(node) => node.tiers.snapshot(Vec::new()),
+                None => Tiers::new().snapshot(Vec::new()),
+            }
+        }
+
+        /// The spans recorded in this scope's trace buffer as
+        /// chrome://tracing trace-event JSON (`{"traceEvents": [...]}` —
+        /// load it at `chrome://tracing` or <https://ui.perfetto.dev>).
+        /// Spans still open are not included; without a buffer the
+        /// document is empty but valid.
+        pub fn trace(&self) -> String {
+            match self.0.as_ref().and_then(|n| n.trace.as_ref()) {
+                Some(buf) => render_trace(&buf.state.lock().expect("obs trace")),
+                None => render_trace(&TraceState::default()),
+            }
         }
     }
 
@@ -425,76 +586,35 @@ mod imp {
     struct TraceEvent {
         name: Cow<'static, str>,
         cat: &'static str,
-        tid: u32,
+        tid: usize,
         ts_ns: u64,
         dur_ns: u64,
         args: Vec<(&'static str, u64)>,
     }
 
-    struct TraceShared {
-        enabled: AtomicBool,
+    struct TraceBuf {
+        epoch: Instant,
         state: Mutex<TraceState>,
     }
 
+    /// Events in completion order; a thread's trace id is its index in
+    /// `threads`.
+    #[derive(Default)]
     struct TraceState {
-        epoch: Instant,
         events: Vec<TraceEvent>,
-        threads: Vec<(u32, String)>,
-        next_tid: u32,
+        threads: Vec<(ThreadId, String)>,
     }
 
-    fn trace_shared() -> &'static TraceShared {
-        static TRACE: OnceLock<TraceShared> = OnceLock::new();
-        TRACE.get_or_init(|| TraceShared {
-            enabled: AtomicBool::new(false),
-            state: Mutex::new(TraceState {
-                epoch: Instant::now(),
-                events: Vec::new(),
-                threads: Vec::new(),
-                next_tid: 0,
-            }),
-        })
-    }
-
-    thread_local! {
-        static TID: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-
-    fn current_tid(state: &mut TraceState) -> u32 {
-        TID.with(|cell| {
-            let mut tid = cell.get();
-            if tid == u32::MAX {
-                tid = state.next_tid;
-                state.next_tid += 1;
-                state.threads.push((
-                    tid,
-                    std::thread::current().name().unwrap_or("?").to_string(),
-                ));
-                cell.set(tid);
+    impl TraceState {
+        fn tid(&mut self) -> usize {
+            let me = std::thread::current();
+            if let Some(tid) = self.threads.iter().position(|(id, _)| *id == me.id()) {
+                return tid;
             }
-            tid
-        })
-    }
-
-    pub fn trace_enabled() -> bool {
-        trace_shared().enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn trace_start() {
-        let shared = trace_shared();
-        {
-            let mut state = shared.state.lock().expect("obs trace");
-            state.epoch = Instant::now();
-            state.events.clear();
+            self.threads
+                .push((me.id(), me.name().unwrap_or("?").to_string()));
+            self.threads.len() - 1
         }
-        shared.enabled.store(true, Ordering::SeqCst);
-    }
-
-    pub fn trace_stop() -> String {
-        let shared = trace_shared();
-        shared.enabled.store(false, Ordering::SeqCst);
-        let state = shared.state.lock().expect("obs trace");
-        render_trace(&state)
     }
 
     pub struct SpanGuard {
@@ -502,6 +622,7 @@ mod imp {
     }
 
     struct OpenSpan {
+        trace: Arc<TraceBuf>,
         name: Cow<'static, str>,
         cat: &'static str,
         start: Instant,
@@ -523,16 +644,13 @@ mod imp {
                 return;
             };
             let end = Instant::now();
-            let shared = trace_shared();
-            // Tracing may have stopped while the span was open; keep the
-            // event only if the collector is still live.
-            if !shared.enabled.load(Ordering::Relaxed) {
-                return;
-            }
-            let mut state = shared.state.lock().expect("obs trace");
-            let tid = current_tid(&mut state);
-            let ts_ns = open.start.saturating_duration_since(state.epoch).as_nanos() as u64;
+            let ts_ns = open
+                .start
+                .saturating_duration_since(open.trace.epoch)
+                .as_nanos() as u64;
             let dur_ns = end.saturating_duration_since(open.start).as_nanos() as u64;
+            let mut state = open.trace.state.lock().expect("obs trace");
+            let tid = state.tid();
             state.events.push(TraceEvent {
                 name: open.name,
                 cat: open.cat,
@@ -548,11 +666,11 @@ mod imp {
     where
         N: Into<Cow<'static, str>>,
     {
-        if !trace_enabled() {
-            return SpanGuard { open: None };
-        }
+        // SAFETY: see `CURRENT`.
+        let trace = CURRENT.with(|cur| unsafe { cur.get().as_ref() }.and_then(|n| n.trace.clone()));
         SpanGuard {
-            open: Some(OpenSpan {
+            open: trace.map(|trace| OpenSpan {
+                trace,
                 name: name().into(),
                 cat,
                 start: Instant::now(),
@@ -565,7 +683,7 @@ mod imp {
         let mut out = String::with_capacity(256 + state.events.len() * 128);
         out.push_str("{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [");
         let mut first = true;
-        for (tid, name) in &state.threads {
+        for (tid, (_, name)) in state.threads.iter().enumerate() {
             push_event_sep(&mut out, &mut first);
             let _ = write!(
                 out,
@@ -633,15 +751,36 @@ mod imp {
         MetricsSnapshot::default()
     }
 
-    #[inline(always)]
-    pub fn trace_enabled() -> bool {
-        false
-    }
+    /// Empty handle: scopes were compiled out.
+    #[derive(Clone, Default)]
+    pub struct Scope;
 
-    pub fn trace_start() {}
+    impl Scope {
+        pub fn new() -> Scope {
+            Scope
+        }
 
-    pub fn trace_stop() -> String {
-        "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n  ]\n}\n".to_string()
+        pub fn traced() -> Scope {
+            Scope
+        }
+
+        #[inline(always)]
+        pub fn current() -> Scope {
+            Scope
+        }
+
+        #[inline(always)]
+        pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+            f()
+        }
+
+        pub fn snapshot(&self) -> MetricsSnapshot {
+            MetricsSnapshot::default()
+        }
+
+        pub fn trace(&self) -> String {
+            "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n  ]\n}\n".to_string()
+        }
     }
 
     /// Unit guard: the span was compiled out.
@@ -662,9 +801,10 @@ mod imp {
     }
 }
 
-pub use imp::SpanGuard;
+pub use imp::{Scope, SpanGuard};
 
-/// Adds `n` to a deterministic-tier counter on this thread's shard.
+/// Adds `n` to a deterministic-tier counter on this thread's shard and
+/// in the current [`Scope`] and every scope enclosing it.
 ///
 /// Call sites must perform a thread-count-invariant amount of counted
 /// work (see the tier contract in the module docs) — that, not this
@@ -674,42 +814,26 @@ pub fn count(c: Counter, n: u64) {
     imp::count(c, n);
 }
 
-/// Adds `n` to a perf-tier counter on this thread's shard.
+/// Adds `n` to a perf-tier counter on this thread's shard and in every
+/// enclosing [`Scope`].
 #[inline]
 pub fn perf_count(p: PerfCounter, n: u64) {
     imp::perf_count(p, n);
 }
 
-/// Merges every shard into one [`MetricsSnapshot`]. Counts from work
-/// that was joined before this call are fully visible.
+/// Merges every shard into one [`MetricsSnapshot`]: the process totals,
+/// scoped or not. Counts from work that was joined before this call are
+/// fully visible.
 pub fn snapshot() -> MetricsSnapshot {
     imp::snapshot()
 }
 
-/// Whether the trace collector is currently recording spans.
-#[inline]
-pub fn trace_enabled() -> bool {
-    imp::trace_enabled()
-}
-
-/// Starts (or restarts) span collection: clears the buffer and re-bases
-/// timestamps at "now".
-pub fn trace_start() {
-    imp::trace_start()
-}
-
-/// Stops span collection and renders the buffer as chrome://tracing
-/// trace-event JSON (`{"traceEvents": [...]}` — load it at
-/// `chrome://tracing` or <https://ui.perfetto.dev>). Spans still open
-/// when collection stops are discarded.
-pub fn trace_stop() -> String {
-    imp::trace_stop()
-}
-
 /// Opens a duration span; the returned guard records the span when
-/// dropped. The name closure is only evaluated while a trace is being
-/// collected, so `span("bench", || format!("experiment:{id}"))` costs
-/// one atomic load when tracing is off.
+/// dropped, into the trace buffer of the current [`Scope`] (nothing is
+/// recorded outside a traced scope). The name closure is only evaluated
+/// while a trace is being collected, so `span("bench", ||
+/// format!("experiment:{id}"))` costs one thread-local read when tracing
+/// is off.
 #[inline]
 pub fn span<N>(cat: &'static str, name: impl FnOnce() -> N) -> SpanGuard
 where
@@ -722,46 +846,47 @@ where
 mod tests {
     use super::*;
 
-    // Counter state is process-global, so tests measure deltas.
-
     #[test]
     fn counts_accumulate_and_snapshot_merges() {
-        let before = snapshot();
-        count(Counter::BoundaryRows, 3);
-        count(Counter::BoundaryRows, 4);
-        count(Counter::RanksComputed, 0); // no-op, not a panic
-        perf_count(PerfCounter::ExecSteals, 2);
-        let after = snapshot();
+        let scope = Scope::new();
+        scope.enter(|| {
+            count(Counter::BoundaryRows, 3);
+            count(Counter::BoundaryRows, 4);
+            count(Counter::RanksComputed, 0); // no-op, not a panic
+            perf_count(PerfCounter::ExecSteals, 2);
+        });
+        let snap = scope.snapshot();
         if cfg!(feature = "enabled") {
-            let delta = after.det_delta(&before);
-            let rows = delta
-                .iter()
-                .find(|(n, _)| *n == "boundary_rows")
-                .map(|&(_, v)| v);
-            assert_eq!(rows, Some(7));
-            assert_eq!(after.det.len(), Counter::ALL.len());
-            assert_eq!(after.perf.len(), PerfCounter::ALL.len());
+            assert_eq!(snap.det_value(Counter::BoundaryRows), 7);
+            assert_eq!(snap.det_value(Counter::RanksComputed), 0);
+            assert_eq!(snap.det.len(), Counter::ALL.len());
+            assert_eq!(snap.perf.len(), PerfCounter::ALL.len());
+            assert!(snapshot().det_value(Counter::BoundaryRows) >= 7);
         } else {
-            assert!(after.det.is_empty());
-            assert!(after.perf.is_empty());
+            assert!(snap.det.is_empty());
+            assert!(snapshot().perf.is_empty());
         }
     }
 
     #[test]
     fn cross_thread_counts_merge_into_one_total() {
-        let before = snapshot().det_value(Counter::FacesClosed);
+        let scope = Scope::new();
+        let captured = scope.enter(Scope::current);
         let handles: Vec<_> = (0..4)
-            .map(|_| std::thread::spawn(|| count(Counter::FacesClosed, 5)))
+            .map(|_| {
+                let captured = captured.clone();
+                std::thread::spawn(move || {
+                    captured.enter(|| count(Counter::FacesClosed, 5));
+                    // Back outside: a bare thread starts in no scope.
+                    count(Counter::FacesClosed, 1);
+                })
+            })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        let delta = snapshot().det_value(Counter::FacesClosed) - before;
-        if cfg!(feature = "enabled") {
-            assert_eq!(delta, 20);
-        } else {
-            assert_eq!(delta, 0);
-        }
+        let faces = scope.snapshot().det_value(Counter::FacesClosed);
+        assert_eq!(faces, if cfg!(feature = "enabled") { 20 } else { 0 });
     }
 
     #[test]
@@ -781,13 +906,12 @@ mod tests {
 
     #[test]
     fn spans_export_wellformed_trace_json() {
-        // The trace collector is global; this test owns it start-to-stop.
-        trace_start();
-        {
+        let scope = Scope::traced();
+        scope.enter(|| {
             let _outer = span("test", || "outer").arg("k", 2);
             let _inner = span("test", || format!("inner:{}", 7));
-        }
-        let json = trace_stop();
+        });
+        let json = scope.trace();
         if cfg!(feature = "enabled") {
             assert!(json.contains("\"traceEvents\""));
             assert!(json.contains("\"name\": \"outer\""));
@@ -797,7 +921,7 @@ mod tests {
         } else {
             assert!(json.contains("\"traceEvents\""));
         }
-        // Spans opened while tracing is off are free and recordless.
+        // Spans opened outside a traced scope are free and recordless.
         let _ = span("test", || -> &'static str { panic!("name must be lazy") });
     }
 }

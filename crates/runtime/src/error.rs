@@ -88,8 +88,8 @@ impl From<ksa_graphs::GraphError> for RuntimeError {
     }
 }
 
-impl From<ksa_core::budget::BudgetExceeded> for RuntimeError {
-    fn from(e: ksa_core::budget::BudgetExceeded) -> Self {
+impl From<ksa_graphs::budget::BudgetExceeded> for RuntimeError {
+    fn from(e: ksa_graphs::budget::BudgetExceeded) -> Self {
         RuntimeError::TooLarge {
             what: e.what,
             estimated: e.estimated,

@@ -6,7 +6,7 @@
 //! a tiny length-prefixed JSON protocol, with:
 //!
 //! - **deadlines and cooperative cancellation** threaded through the
-//!   whole compute pipeline as [`ksa_core::budget::CancelToken`]s,
+//!   whole compute pipeline as [`ksa_graphs::cancel::CancelToken`]s,
 //! - a **crash-safe content-addressed response cache** (temp-write,
 //!   atomic rename, checksum + quarantine on read),
 //! - **panic isolation** per request, **overload shedding** on a

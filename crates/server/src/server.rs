@@ -23,8 +23,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use ksa_core::budget::{CancelToken, Deadline};
 use ksa_core::error::CoreError;
+use ksa_graphs::cancel::{CancelToken, Deadline};
+use ksa_graphs::ctx::Ctx;
 use ksa_obs as obs;
 
 use crate::cache::Cache;
@@ -420,12 +421,15 @@ fn compute_solv(
             }
         }
     };
-    let sweep = ksa_core::solvability::decide_one_round_sweep_cancellable(
+    let ctx = Ctx {
+        cancel,
+        ..Ctx::from(EXEC_LIMIT as u128)
+    };
+    let sweep = ksa_core::solvability::decide_one_round_sweep(
         &model,
         k_max,
-        EXEC_LIMIT,
+        ctx,
         NODE_BUDGET,
-        &cancel,
         &mut progress,
     )
     .map_err(|e| error_for(&e))?;
@@ -466,14 +470,16 @@ fn compute_rounds(
 ) -> Result<Value, Value> {
     let cancel = cancel_token_for(deadline_ms);
     ksa_faults::maybe_stall(ksa_faults::Site::ComputeStall);
-    let report = ksa_core::bounds::cross_check::cross_check_round_sweep_by_name_cancellable(
-        model_name,
-        value_max,
-        rounds,
-        EXEC_LIMIT as u128,
-        &cancel,
-    )
-    .map_err(|e| error_for(&e))?;
+    let model = ksa_models::registry::builtin()
+        .resolve_closed_above(model_name, EXEC_LIMIT as u128)
+        .map_err(|e| error_for(&e.into()))?;
+    let ctx = Ctx {
+        cancel,
+        ..Ctx::from(EXEC_LIMIT as u128)
+    };
+    let report =
+        ksa_core::bounds::cross_check::cross_check_round_sweep(&model, value_max, rounds, ctx)
+            .map_err(|e| error_for(&e))?;
     let per_round = report
         .per_round
         .iter()

@@ -6,15 +6,12 @@ use std::io::{Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use std::time::Duration;
 
 use ksa_server::client;
 use ksa_server::framing::write_frame;
 use ksa_server::json::{parse, Value};
 use ksa_server::server::{start, Config, Handle};
-
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn spawn(name: &str) -> (Handle, PathBuf) {
     let dir = std::env::temp_dir().join(format!("ksa-fr-{name}-{}", std::process::id()));
@@ -45,7 +42,6 @@ fn read_all(stream: &mut UnixStream) -> Vec<u8> {
 
 #[test]
 fn truncated_length_prefix() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("torn-prefix");
     let mut stream = UnixStream::connect(handle.socket()).unwrap();
     stream.write_all(&[0u8, 0]).unwrap(); // 2 of 4 prefix bytes
@@ -62,7 +58,6 @@ fn truncated_length_prefix() {
 
 #[test]
 fn absurd_declared_length_is_rejected() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("absurd-len");
     let mut stream = UnixStream::connect(handle.socket()).unwrap();
     // Declare a 4 GiB frame; send only a few bytes. The server must
@@ -82,7 +77,6 @@ fn absurd_declared_length_is_rejected() {
 
 #[test]
 fn garbage_payload_is_a_bad_request() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("garbage");
     for payload in [
         &b"\xff\xfe\x00\x01 not utf-8"[..],
@@ -104,7 +98,6 @@ fn garbage_payload_is_a_bad_request() {
 
 #[test]
 fn deeply_nested_request_is_rejected_not_overflowed() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("deep-nest");
     let deep = vec![b'['; 100_000];
     let frames = client::request(handle.socket(), &deep).unwrap();
@@ -117,7 +110,6 @@ fn deeply_nested_request_is_rejected_not_overflowed() {
 
 #[test]
 fn half_closed_silent_connection_is_dropped_cleanly() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("half-closed");
     // Connect, send nothing, half-close the write side: the server
     // sees a clean EOF at a frame boundary and just drops the

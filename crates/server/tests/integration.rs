@@ -4,16 +4,11 @@
 
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use ksa_server::client;
 use ksa_server::framing::write_frame;
 use ksa_server::json::{parse, Value};
 use ksa_server::server::{start, Config, Handle};
-
-/// Servers in this binary share the process-global obs counters and, in
-/// the faults configuration, the fault schedule — serialize them.
-static SERIAL: Mutex<()> = Mutex::new(());
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ksa-it-{name}-{}", std::process::id()));
@@ -49,7 +44,6 @@ fn event_of(frame: &[u8]) -> String {
 
 #[test]
 fn ping_and_shutdown() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("ping", 8, 1);
     let frames = client::request(handle.socket(), br#"{"query":"ping"}"#).unwrap();
     assert_eq!(
@@ -62,7 +56,6 @@ fn ping_and_shutdown() {
 
 #[test]
 fn solv_cold_then_cached_byte_identical() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("solv-cache", 8, 1);
     let req = br#"{"query":"solv","model":"ring{n=3}","k_max":3}"#;
     let cold = client::request(handle.socket(), req).unwrap();
@@ -111,7 +104,6 @@ fn solv_cold_then_cached_byte_identical() {
 
 #[test]
 fn rounds_cold_then_cached_byte_identical() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("rounds-cache", 8, 1);
     let req = br#"{"query":"rounds","model":"ring{n=3}","value_max":1,"rounds":2}"#;
     let cold = client::request(handle.socket(), req).unwrap();
@@ -133,7 +125,6 @@ fn rounds_cold_then_cached_byte_identical() {
 
 #[test]
 fn bad_requests_get_structured_errors() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("bad-req", 8, 1);
     for (payload, expect_kind) in [
         (&br#"not json at all"#[..], "bad_request"),
@@ -167,7 +158,6 @@ fn bad_requests_get_structured_errors() {
 
 #[test]
 fn expired_deadline_trips_deterministically() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("deadline", 8, 1);
     // deadline_ms 0 is already past when the token is created, so the
     // very first checkpoint fires regardless of machine speed.
@@ -193,7 +183,6 @@ fn expired_deadline_trips_deterministically() {
 
 #[test]
 fn full_queue_sheds_with_overloaded() {
-    let _guard = SERIAL.lock().unwrap();
     // No workers: nothing drains the queue, so filling it is
     // deterministic.
     let (handle, dir) = spawn("overload", 2, 0);
@@ -219,7 +208,6 @@ fn full_queue_sheds_with_overloaded() {
 
 #[test]
 fn mid_stream_disconnect_leaves_server_healthy() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("disconnect", 8, 1);
     {
         let mut stream = UnixStream::connect(handle.socket()).unwrap();
@@ -245,7 +233,6 @@ fn mid_stream_disconnect_leaves_server_healthy() {
 
 #[test]
 fn shutdown_request_stops_the_server() {
-    let _guard = SERIAL.lock().unwrap();
     let (handle, dir) = spawn("shutdown-req", 8, 1);
     let frames = client::request(handle.socket(), br#"{"query":"shutdown"}"#).unwrap();
     let v = parse(terminal(&frames)).unwrap();

@@ -43,7 +43,10 @@
 
 use crate::complex::Complex;
 use crate::connectivity::Connectivity;
+use crate::error::TopologyError;
 use crate::simplex::{Vertex, View};
+use ksa_graphs::cancel::{CancelToken, Interrupted};
+use ksa_graphs::ctx::Ctx;
 use ksa_obs::Counter;
 
 use ksa_exec::prelude::*;
@@ -418,19 +421,27 @@ impl ChainComplex {
     /// void complex). The not-yet-cached boundary reductions fan out per
     /// dimension on `ksa-exec`.
     pub fn reduced_betti(&mut self) -> Vec<usize> {
+        self.reduced_betti_polled(&CancelToken::new())
+            .expect("a fresh token never fires")
+    }
+
+    /// [`ChainComplex::reduced_betti`], polling `cancel` before each
+    /// dimension's reduction in the fan-out.
+    fn reduced_betti_polled(&mut self, cancel: &CancelToken) -> Result<Vec<usize>, Interrupted> {
         if self.is_void() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let dim = self.arenas.len() - 1;
         let missing: Vec<usize> = (1..=dim).filter(|&k| self.ranks[k].is_none()).collect();
-        if missing.len() > 1 {
-            let this: &Self = self;
-            let computed: Vec<usize> = missing.par_iter().map(|&k| this.compute_rank(k)).collect();
-            for (&k, r) in missing.iter().zip(computed) {
-                self.ranks[k] = Some(r);
-            }
+        let this: &Self = self;
+        let computed: Vec<Result<usize, Interrupted>> = missing
+            .par_iter()
+            .map(|&k| cancel.checkpoint().map(|()| this.compute_rank(k)))
+            .collect();
+        for (&k, r) in missing.iter().zip(computed) {
+            self.ranks[k] = Some(r?);
         }
-        (0..=dim).map(|k| self.betti_at(k)).collect()
+        Ok((0..=dim).map(|k| self.betti_at(k)).collect())
     }
 
     /// The homological [`Connectivity`] verdict, reducing boundaries
@@ -511,51 +522,93 @@ impl ChainComplex {
     }
 }
 
-/// Certified reduced Betti computation: the Betti vector of `complex`
-/// (identical to [`ChainComplex::reduced_betti`] — same engine, same
-/// canonical absorption order) together with a [`ksa_cert::HomologyCert`]
-/// whose standalone checker re-derives every rank bound from the facet
-/// list alone (DESIGN.md §11). The certificate's connectivity field
-/// uses the cross-check convention: first nonzero reduced Betti index
-/// minus one, or the dimension when the whole table vanishes.
+/// The homology of one complex: its reduced Z/2 Betti numbers and
+/// connectivity verdict, from one closure and one rank pass.
 ///
-/// Returns `None` for the void complex (nothing to certify).
+/// `ctx.cancel` is polled on entry and before each dimension's rank
+/// reduction. When `ctx.certs` is set, the ranks go through the
+/// witnessed kernel instead and a [`ksa_cert::HomologyCert`] labelled
+/// with the sink's label is pushed to the sink; its standalone checker
+/// re-derives every rank bound from the facet list alone (DESIGN.md
+/// §11). The certificate's connectivity field uses the cross-check
+/// convention: first nonzero reduced Betti index minus one, or the
+/// dimension when the whole table vanishes. The void complex has
+/// nothing to certify and emits nothing.
 ///
-/// The per-dimension witnessed reductions fan out on `ksa-exec`; each
-/// dimension absorbs sequentially, so the witness — and therefore the
-/// certificate — is schedule-invariant.
+/// Each dimension absorbs its rows sequentially in canonical arena
+/// order, so the verdict and the certificate are schedule-invariant.
+///
+/// # Errors
+///
+/// [`TopologyError::Cancelled`] / [`TopologyError::DeadlineExceeded`]
+/// when the token fires.
+pub fn homology_of<'a, V: View>(
+    complex: &Complex<V>,
+    ctx: impl Into<Ctx<'a>>,
+) -> Result<SweepStep, TopologyError> {
+    let ctx = ctx.into();
+    homology_step(complex, &ctx, || {
+        ctx.certs
+            .map_or_else(String::new, |s| s.label().to_string())
+    })
+}
+
+/// [`homology_of`] with the certificate label supplied by the caller
+/// (the round sweep appends the round).
+pub(crate) fn homology_step<V: View>(
+    complex: &Complex<V>,
+    ctx: &Ctx<'_>,
+    label: impl FnOnce() -> String,
+) -> Result<SweepStep, TopologyError> {
+    ctx.cancel.checkpoint()?;
+    let (mut cc, facets) = ChainComplex::build(complex);
+    let sink = ctx.certs.filter(|_| !cc.is_void());
+    let mut ranks = Vec::new();
+    if sink.is_some() {
+        let dims: Vec<usize> = (1..cc.arenas.len()).collect();
+        let witnessed: Vec<Result<ksa_cert::RankWitness, Interrupted>> = dims
+            .par_iter()
+            .map(|&k| {
+                ctx.cancel
+                    .checkpoint()
+                    .map(|()| cc.compute_rank_witnessed(k))
+            })
+            .collect();
+        ranks = witnessed.into_iter().collect::<Result<_, _>>()?;
+        for w in &ranks {
+            cc.ranks[w.k as usize] = Some(w.rank as usize);
+        }
+    }
+    let betti = cc.reduced_betti_polled(&ctx.cancel)?;
+    if let Some(sink) = sink {
+        ksa_obs::count(Counter::CertsEmitted, 1);
+        sink.push(ksa_cert::Cert::Homology(ksa_cert::HomologyCert {
+            label: label(),
+            facets,
+            betti: betti.iter().map(|&b| b as u64).collect(),
+            connectivity: betti
+                .iter()
+                .position(|&b| b != 0)
+                .map_or(betti.len() as i64 - 1, |k| k as i64 - 1),
+            ranks,
+        }));
+    }
+    Ok(SweepStep {
+        connectivity: Connectivity::from_reduced_betti(&betti),
+        betti,
+    })
+}
+
+/// The Betti vector of `complex` and its homology certificate (`None`
+/// for the void complex). Kept only for `perfbench`; removed when the
+/// benchmark harness moves onto `Ctx`.
 pub fn reduced_betti_certified<V: View>(
     complex: &Complex<V>,
     label: &str,
 ) -> Option<(Vec<usize>, ksa_cert::HomologyCert)> {
-    let (mut cc, facet_ids) = ChainComplex::build(complex);
-    if cc.is_void() {
-        return None;
-    }
-    let dim = cc.arenas.len() - 1;
-    let dims: Vec<usize> = (1..=dim).collect();
-    let witnesses: Vec<ksa_cert::RankWitness> = dims
-        .par_iter()
-        .map(|&k| cc.compute_rank_witnessed(k))
-        .collect();
-    for w in &witnesses {
-        cc.ranks[w.k as usize] = Some(w.rank as usize);
-    }
-    let betti = cc.reduced_betti();
-    let connectivity = betti
-        .iter()
-        .position(|&b| b != 0)
-        .map(|k| k as i64 - 1)
-        .unwrap_or(dim as i64);
-    ksa_obs::count(Counter::CertsEmitted, 1);
-    let cert = ksa_cert::HomologyCert {
-        label: label.to_string(),
-        facets: facet_ids,
-        betti: betti.iter().map(|&b| b as u64).collect(),
-        connectivity,
-        ranks: witnesses,
-    };
-    Some((betti, cert))
+    let sink = ksa_cert::CertSink::new(label);
+    let step = homology_of(complex, &sink).ok()?;
+    Some((step.betti, sink.into_certs().pop()?.into_homology()?))
 }
 
 /// The per-dimension subset chunks a block of facets contributes to the
@@ -653,21 +706,39 @@ mod tests {
                 "three-points",
             ),
         ] {
-            let (betti, cert) = reduced_betti_certified(&complex, label).unwrap();
+            let sink = ksa_cert::CertSink::new(label);
+            let certified = homology_of(&complex, &sink);
+            let plain = homology_of(&complex, Ctx::default()).unwrap();
+            assert_eq!(certified.unwrap(), plain, "{label}");
+            let [cert] = &sink.into_certs()[..] else {
+                panic!("{label}: one certificate");
+            };
+            assert_eq!(cert.label(), label);
+            assert_eq!(cert.check(), Ok(()), "{label}");
             assert_eq!(
-                betti,
-                ChainComplex::from_complex(&complex).reduced_betti(),
-                "{label}"
-            );
-            assert_eq!(ksa_cert::check_homology(&cert), Ok(()), "{label}");
-            let wrapped = ksa_cert::Cert::Homology(cert);
-            assert_eq!(
-                ksa_cert::Cert::parse(&wrapped.to_text()).unwrap(),
-                wrapped,
+                ksa_cert::Cert::parse(&cert.to_text()).as_ref(),
+                Ok(cert),
                 "{label}"
             );
         }
-        assert!(reduced_betti_certified(&Complex::<u32>::void(), "void").is_none());
+        let sink = ksa_cert::CertSink::new("void");
+        let void = homology_of(&Complex::<u32>::void(), &sink);
+        assert_eq!(void.unwrap().connectivity, Connectivity::Empty);
+        assert!(sink.into_certs().is_empty());
+        // A fired token stops the pass, certified or not.
+        let fired = Ctx::default();
+        fired.cancel.cancel();
+        let ball = Complex::of_simplex(tet);
+        assert_eq!(
+            homology_of(&ball, fired.clone()),
+            Err(TopologyError::Cancelled)
+        );
+        let sink = ksa_cert::CertSink::new("ball");
+        let certs = Ctx {
+            certs: Some(&sink),
+            ..fired
+        };
+        assert_eq!(homology_of(&ball, certs), Err(TopologyError::Cancelled));
     }
 
     #[test]

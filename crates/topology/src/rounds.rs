@@ -29,13 +29,13 @@
 //! 1/2/8.
 
 use crate::complex::Complex;
-use crate::connectivity::Connectivity;
 use crate::error::TopologyError;
 use crate::intern::{InternedView, ViewTable};
 use crate::interpretation::FlatView;
 use crate::simplex::{Simplex, Vertex, View};
 use ksa_graphs::budget::RunBudget;
 use ksa_graphs::cancel::CancelToken;
+use ksa_graphs::ctx::Ctx;
 use ksa_graphs::Digraph;
 use ksa_obs::Counter;
 
@@ -99,65 +99,49 @@ impl<V: View> RoundsComplex<V> {
     /// The homology of every round's complex, round 1 first: one
     /// [`ChainComplex`](crate::chain::ChainComplex) per round, whose
     /// Betti numbers and connectivity share a single closure and rank
-    /// pass.
+    /// pass ([`homology_of`](crate::chain::homology_of) per round).
+    ///
+    /// `ctx.cancel` is polled on each round's entry and before every
+    /// boundary-rank reduction. With `ctx.certs` set, each round also
+    /// emits a homology certificate labelled `"<sink label> r=<round>"`,
+    /// round 1 first.
     ///
     /// Verdicts are bit-identical to calling
     /// [`reduced_betti_numbers`](crate::homology::reduced_betti_numbers)
     /// and [`connectivity`](crate::connectivity::connectivity) on each
-    /// round's complex (proptest-pinned in `tests/chain_engine.rs`).
-    pub fn homology_sweep(&self) -> Vec<crate::chain::SweepStep> {
-        self.sweep(None)
-            .expect("no token supplied, the sweep cannot be interrupted")
-    }
-
-    /// [`homology_sweep`](Self::homology_sweep) with a cooperative
-    /// [`CancelToken`], polled before every boundary-rank reduction
-    /// (the sweep's units of work). A token that never fires leaves the
-    /// steps bit-identical to [`homology_sweep`](Self::homology_sweep).
+    /// round's complex (proptest-pinned in `tests/chain_engine.rs`), with
+    /// or without a sink.
     ///
     /// # Errors
     ///
     /// [`TopologyError::Cancelled`] / [`TopologyError::DeadlineExceeded`]
     /// when the token fires mid-sweep.
+    pub fn homology_sweep<'a>(
+        &self,
+        ctx: impl Into<Ctx<'a>>,
+    ) -> Result<Vec<crate::chain::SweepStep>, TopologyError> {
+        let ctx = ctx.into();
+        (1..)
+            .zip(&self.complexes)
+            .map(|(r, complex)| {
+                crate::chain::homology_step(complex, &ctx, || {
+                    ctx.certs
+                        .map_or_else(String::new, |s| format!("{} r={r}", s.label()))
+                })
+            })
+            .collect()
+    }
+
+    /// [`homology_sweep`](Self::homology_sweep) with a token. Kept only
+    /// for `perfbench`; removed when the benchmark harness moves onto `Ctx`.
     pub fn homology_sweep_cancellable(
         &self,
         cancel: &CancelToken,
     ) -> Result<Vec<crate::chain::SweepStep>, TopologyError> {
-        self.sweep(Some(cancel))
-    }
-
-    /// The shared sweep body. With a token, each round polls it on
-    /// entry and before every `rank_boundary(k)`, reducing one
-    /// dimension at a time; without one,
-    /// [`ChainComplex::reduced_betti`] fans the dimensions out on
-    /// `ksa-exec`. The ranks, and so the Betti vector, are the same
-    /// either way.
-    ///
-    /// [`ChainComplex::reduced_betti`]: crate::chain::ChainComplex::reduced_betti
-    fn sweep(
-        &self,
-        cancel: Option<&CancelToken>,
-    ) -> Result<Vec<crate::chain::SweepStep>, TopologyError> {
-        self.complexes
-            .iter()
-            .map(|complex| {
-                if let Some(token) = cancel {
-                    token.checkpoint()?;
-                }
-                let mut chain = crate::chain::ChainComplex::from_complex(complex);
-                if let Some(token) = cancel {
-                    for k in 1..=chain.dim().max(0) as usize {
-                        token.checkpoint()?;
-                        chain.rank_boundary(k);
-                    }
-                }
-                let betti = chain.reduced_betti();
-                Ok(crate::chain::SweepStep {
-                    connectivity: Connectivity::from_reduced_betti(&betti),
-                    betti,
-                })
-            })
-            .collect()
+        self.homology_sweep(Ctx {
+            cancel: cancel.clone(),
+            ..Ctx::default()
+        })
     }
 
     /// Re-materializes the **round-1** complex with explicit flat views —
@@ -343,16 +327,16 @@ fn round_step<'a>(
 /// Shared driver for the sequential and parallel entry points. The
 /// per-round iteration is the pipeline's coarse poll point: a fired
 /// [`CancelToken`] stops before the next round's fan-out (finer polls —
-/// per rank reduction — live in [`RoundsComplex::homology_sweep_cancellable`],
+/// per rank reduction — live in [`RoundsComplex::homology_sweep`],
 /// which consumes the result).
 fn rounds_driver<V: View>(
     gens: &[Digraph],
     input: &Complex<V>,
     rounds: usize,
-    budget: RunBudget,
+    ctx: &Ctx<'_>,
     use_parallel: bool,
-    cancel: Option<&CancelToken>,
 ) -> Result<RoundsComplex<V>, TopologyError> {
+    let budget = ctx.budget;
     if gens.is_empty() {
         return Err(ksa_graphs::GraphError::EmptyGraphSet.into());
     }
@@ -364,9 +348,7 @@ fn rounds_driver<V: View>(
     let mut tables = Vec::with_capacity(rounds);
     let mut complexes: Vec<Complex<u32>> = Vec::with_capacity(rounds);
     for t in 0..rounds {
-        if let Some(token) = cancel {
-            token.checkpoint()?;
-        }
+        ctx.cancel.checkpoint()?;
         let _span = ksa_obs::span("topology", || "round").arg("round", t as u64 + 1);
         // Borrow the previous round's facets in place (the interned input
         // for round 1) — no per-round re-materialization.
@@ -386,6 +368,8 @@ fn rounds_driver<V: View>(
 
 /// The `r`-round protocol complex of the closed-above model generated by
 /// `gens` over the input complex `input`, views interned round by round.
+/// `ctx.budget` guards every round's facet product and `ctx.cancel` is
+/// polled once per round (before each round's interpretation fan-out).
 ///
 /// For `r = 1` the result expands ([`RoundsComplex::expand_round_one`])
 /// to exactly [`crate::interpretation::protocol_complex_one_round`] —
@@ -394,32 +378,26 @@ fn rounds_driver<V: View>(
 /// The per-round interpretation and materialization fan out on the
 /// `ksa-exec` pool; the result is bit-identical to
 /// [`protocol_complex_rounds_seq`] at any `KSA_THREADS` (DESIGN.md §4,
-/// §6).
+/// §6), and a token that never fires changes nothing.
 ///
 /// # Errors
 ///
 /// [`TopologyError::Graph`] for an empty generator set;
 /// [`TopologyError::ZeroRounds`] for `rounds = 0`;
 /// [`TopologyError::Budget`] when a round's facet product exceeds
-/// `budget`.
-pub fn protocol_complex_rounds<V: View>(
+/// the budget; [`TopologyError::Cancelled`] /
+/// [`TopologyError::DeadlineExceeded`] when the token fires.
+pub fn protocol_complex_rounds<'a, V: View>(
     gens: &[Digraph],
     input: &Complex<V>,
     rounds: usize,
-    budget: impl Into<RunBudget>,
+    ctx: impl Into<Ctx<'a>>,
 ) -> Result<RoundsComplex<V>, TopologyError> {
-    rounds_driver(gens, input, rounds, budget.into(), true, None)
+    rounds_driver(gens, input, rounds, &ctx.into(), true)
 }
 
-/// [`protocol_complex_rounds`] with a cooperative [`CancelToken`],
-/// polled once per round (before each round's interpretation fan-out).
-/// A token that never fires leaves the construction bit-identical to
-/// [`protocol_complex_rounds`] at any `KSA_THREADS`.
-///
-/// # Errors
-///
-/// As for [`protocol_complex_rounds`], plus [`TopologyError::Cancelled`]
-/// / [`TopologyError::DeadlineExceeded`] when the token fires.
+/// [`protocol_complex_rounds`] with a token. Kept only for `perfbench`;
+/// removed when the benchmark harness moves onto `Ctx`.
 pub fn protocol_complex_rounds_cancellable<V: View>(
     gens: &[Digraph],
     input: &Complex<V>,
@@ -427,7 +405,15 @@ pub fn protocol_complex_rounds_cancellable<V: View>(
     budget: impl Into<RunBudget>,
     cancel: &CancelToken,
 ) -> Result<RoundsComplex<V>, TopologyError> {
-    rounds_driver(gens, input, rounds, budget.into(), true, Some(cancel))
+    protocol_complex_rounds(
+        gens,
+        input,
+        rounds,
+        Ctx {
+            cancel: cancel.clone(),
+            ..Ctx::from(budget.into())
+        },
+    )
 }
 
 /// The sequential reference implementation of
@@ -444,7 +430,7 @@ pub fn protocol_complex_rounds_seq<V: View>(
     rounds: usize,
     budget: impl Into<RunBudget>,
 ) -> Result<RoundsComplex<V>, TopologyError> {
-    rounds_driver(gens, input, rounds, budget.into(), false, None)
+    rounds_driver(gens, input, rounds, &Ctx::from(budget.into()), false)
 }
 
 #[cfg(test)]

@@ -39,6 +39,7 @@
 use crate::complex::Complex;
 use crate::error::TopologyError;
 use crate::simplex::{Simplex, View};
+use ksa_graphs::ctx::Ctx;
 use std::collections::HashMap;
 
 /// Whether adding `new` after the facets in `prior` satisfies the shelling
@@ -162,7 +163,7 @@ mod portfolio {
 
     use super::{step_ok, Simplex, View};
     use ksa_exec::ShardedSet;
-    use ksa_graphs::cancel::CancelToken;
+    use ksa_graphs::cancel::{CancelToken, Interrupted};
     use std::sync::Mutex;
 
     enum Search {
@@ -254,7 +255,12 @@ mod portfolio {
     /// Race the ordering heuristics; first complete search wins and
     /// cancels the rest. Returns the winning verdict plus the shared
     /// dead-table size (the exhaustion statistic for certificates).
-    pub(super) fn search<V: View>(facets: &[Simplex<V>]) -> (Option<Vec<usize>>, u64) {
+    /// The race flag is a child of `external`, so firing it stops every
+    /// strategy.
+    pub(super) fn search<V: View>(
+        facets: &[Simplex<V>],
+        external: &CancelToken,
+    ) -> Result<(Option<Vec<usize>>, u64), Interrupted> {
         let r = facets.len();
         let width = facets[0].len();
         // Pairwise intersection sizes drive both heuristics: ridge
@@ -287,7 +293,7 @@ mod portfolio {
         alternates.retain(|ord| *ord != canonical);
 
         let dead: ShardedSet<u64> = ShardedSet::new();
-        let cancel = CancelToken::new();
+        let cancel = external.child();
         let winner: Mutex<Option<Option<Vec<usize>>>> = Mutex::new(None);
         let report = |verdict: Option<Vec<usize>>| -> bool {
             let mut slot = winner.lock().unwrap_or_else(|p| p.into_inner());
@@ -328,10 +334,11 @@ mod portfolio {
 
         let states = dead.len() as u64;
         match winner.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            Some(verdict) => (verdict, states),
-            // Unreachable (the race flag only fires after a winner
-            // reported), so fall back to the oracle rather than panic.
-            None => super::search_seq(facets),
+            Some(verdict) => Ok((verdict, states)),
+            // No winner: the external token fired. (Otherwise the race
+            // flag only fires after a winner reported, so fall back to
+            // the oracle rather than panic.)
+            None => external.checkpoint().map(|()| super::search_seq(facets)),
         }
     }
 }
@@ -343,21 +350,70 @@ mod portfolio {
 /// the module docs); the verdict (`Some` vs `None`) is bit-identical to
 /// [`find_shelling_order_seq`] at any `KSA_THREADS`, while the witness
 /// order may differ across schedules (any witness passes
-/// [`is_shelling_order`]).
+/// [`is_shelling_order`]). `ctx.cancel` is polled at every search node;
+/// the budget is not read (the 63-facet cap bounds the search).
+///
+/// With `ctx.certs` set, the verdict is also emitted as a
+/// [`ksa_cert::ShellingCert`]: the witness order for a shellable
+/// complex, the exhaustion statistics otherwise. Vertices are interned
+/// to `u32` by their rank in the complex's sorted vertex list; the
+/// standalone checker re-verifies the verdict from the certificate
+/// alone (DESIGN.md §11).
 ///
 /// # Errors
 ///
 /// [`TopologyError::EmptyComplex`] / [`TopologyError::NotPure`] as in
-/// [`is_shelling_order`]; [`TopologyError::TooLarge`] beyond 63 facets.
-pub fn find_shelling_order<V: View>(
+/// [`is_shelling_order`]; [`TopologyError::TooLarge`] beyond 63 facets;
+/// [`TopologyError::Cancelled`] / [`TopologyError::DeadlineExceeded`]
+/// when the token fires.
+pub fn find_shelling_order<'a, V: View>(
     complex: &Complex<V>,
+    ctx: impl Into<Ctx<'a>>,
 ) -> Result<Option<Vec<Simplex<V>>>, TopologyError> {
+    let ctx = ctx.into();
+    ctx.cancel.checkpoint()?;
     let facets = search_facets(complex)?;
-    if facets.len() == 1 {
-        return Ok(Some(facets));
+    let (picked, states) = if facets.len() == 1 {
+        (Some(vec![0]), 0)
+    } else {
+        portfolio::search(&facets, &ctx.cancel)?
+    };
+    if let Some(sink) = ctx.certs {
+        let verdict = match &picked {
+            Some(p) => ksa_cert::ShellingVerdict::Order(p.iter().map(|&i| i as u32).collect()),
+            None => ksa_cert::ShellingVerdict::Exhausted { states },
+        };
+        ksa_obs::count(ksa_obs::Counter::CertsEmitted, 1);
+        sink.push(ksa_cert::Cert::Shelling(ksa_cert::ShellingCert {
+            label: sink.label().to_string(),
+            facets: intern_facets(complex, &facets),
+            verdict,
+        }));
     }
-    let (picked, _states) = portfolio::search(&facets);
     Ok(picked.map(|p| p.into_iter().map(|i| facets[i].clone()).collect()))
+}
+
+/// Each facet as the ascending ranks of its vertices in the complex's
+/// sorted vertex list (the certificate's vertex ids).
+fn intern_facets<V: View>(complex: &Complex<V>, facets: &[Simplex<V>]) -> Vec<Vec<u32>> {
+    let verts = complex.vertices();
+    facets
+        .iter()
+        .map(|f| {
+            let mut ids: Vec<u32> = f
+                .vertices()
+                .iter()
+                .map(|v| {
+                    verts
+                        .binary_search(v)
+                        .expect("facet vertex is in the complex's vertex list")
+                        as u32
+                })
+                .collect();
+            ids.sort_unstable();
+            ids
+        })
+        .collect()
 }
 
 /// The sequential memoized search, kept verbatim as the pinned oracle
@@ -387,62 +443,7 @@ pub fn find_shelling_order_seq<V: View>(
 ///
 /// Same conditions as [`find_shelling_order`].
 pub fn is_shellable<V: View>(complex: &Complex<V>) -> Result<bool, TopologyError> {
-    Ok(find_shelling_order(complex)?.is_some())
-}
-
-/// Decides shellability and emits a [`ksa_cert::ShellingCert`] for the
-/// verdict: the witness order for a shellable complex, the exhaustion
-/// statistics otherwise. Vertices are interned to `u32` by their rank
-/// in the complex's sorted vertex list; the standalone checker
-/// re-verifies the verdict from the certificate alone (DESIGN.md §11).
-///
-/// # Errors
-///
-/// Same conditions as [`find_shelling_order`].
-pub fn is_shellable_certified<V: View>(
-    complex: &Complex<V>,
-    label: &str,
-) -> Result<(bool, ksa_cert::ShellingCert), TopologyError> {
-    let facets = search_facets(complex)?;
-    let verts = complex.vertices();
-    let interned: Vec<Vec<u32>> = facets
-        .iter()
-        .map(|f| {
-            let mut ids: Vec<u32> = f
-                .vertices()
-                .iter()
-                .map(|v| {
-                    verts
-                        .binary_search(v)
-                        .expect("facet vertex is in the complex's vertex list")
-                        as u32
-                })
-                .collect();
-            ids.sort_unstable();
-            ids
-        })
-        .collect();
-    let (picked, states) = if facets.len() == 1 {
-        (Some(vec![0]), 0)
-    } else {
-        portfolio::search(&facets)
-    };
-    let (shellable, verdict) = match picked {
-        Some(p) => (
-            true,
-            ksa_cert::ShellingVerdict::Order(p.into_iter().map(|i| i as u32).collect()),
-        ),
-        None => (false, ksa_cert::ShellingVerdict::Exhausted { states }),
-    };
-    ksa_obs::count(ksa_obs::Counter::CertsEmitted, 1);
-    Ok((
-        shellable,
-        ksa_cert::ShellingCert {
-            label: label.to_string(),
-            facets: interned,
-            verdict,
-        },
-    ))
+    Ok(find_shelling_order(complex, Ctx::default())?.is_some())
 }
 
 /// Lemma 4.15 sanity helper: for a pure `(d−1)`-dimensional subcomplex of
@@ -485,6 +486,14 @@ pub fn every_order_shells<V: View>(complex: &Complex<V>) -> Result<bool, Topolog
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The shellability verdict with its certificate, through the sink.
+    fn certified(c: &Complex<u32>, label: &str) -> Result<(bool, ksa_cert::Cert), TopologyError> {
+        let sink = ksa_cert::CertSink::new(label);
+        let order = find_shelling_order(c, &sink)?;
+        let [cert] = <[_; 1]>::try_from(sink.into_certs()).expect("one certificate");
+        Ok((order.is_some(), cert))
+    }
     use crate::simplex::Vertex;
 
     fn simplex(colors: &[usize]) -> Simplex<u32> {
@@ -496,7 +505,7 @@ mod tests {
         // Two triangles sharing an edge (the paper's shellable exemplar).
         let c = Complex::from_facets(vec![simplex(&[0, 1, 2]), simplex(&[0, 2, 3])]);
         assert!(is_shellable(&c).unwrap());
-        let order = find_shelling_order(&c).unwrap().unwrap();
+        let order = find_shelling_order(&c, Ctx::default()).unwrap().unwrap();
         assert!(is_shelling_order(&order).unwrap());
         assert_eq!(order.len(), 2);
     }
@@ -659,25 +668,28 @@ mod tests {
     #[test]
     fn empty_complex_is_rejected_everywhere() {
         let c: Complex<u32> = Complex::void();
-        assert_eq!(find_shelling_order(&c), Err(TopologyError::EmptyComplex));
+        assert_eq!(
+            find_shelling_order(&c, Ctx::default()),
+            Err(TopologyError::EmptyComplex)
+        );
         assert_eq!(
             find_shelling_order_seq(&c),
             Err(TopologyError::EmptyComplex)
         );
         assert_eq!(is_shellable(&c), Err(TopologyError::EmptyComplex));
         assert_eq!(every_order_shells(&c), Err(TopologyError::EmptyComplex));
-        assert!(is_shellable_certified(&c, "void").is_err());
+        assert!(certified(&c, "void").is_err());
     }
 
     #[test]
     fn single_facet_order_is_the_facet() {
         let c = Complex::of_simplex(simplex(&[0, 1, 2]));
-        let order = find_shelling_order(&c).unwrap().unwrap();
+        let order = find_shelling_order(&c, Ctx::default()).unwrap().unwrap();
         assert_eq!(order, vec![simplex(&[0, 1, 2])]);
         assert_eq!(find_shelling_order_seq(&c).unwrap().unwrap(), order);
-        let (shellable, cert) = is_shellable_certified(&c, "single").unwrap();
+        let (shellable, cert) = certified(&c, "single").unwrap();
         assert!(shellable);
-        assert_eq!(ksa_cert::check_shelling(&cert), Ok(()));
+        assert_eq!(cert.check(), Ok(()));
     }
 
     #[test]
@@ -688,11 +700,11 @@ mod tests {
         assert!(is_shellable(&point).unwrap());
         let two = Complex::from_facets(vec![simplex(&[0]), simplex(&[1])]);
         assert!(!is_shellable(&two).unwrap());
-        assert!(find_shelling_order(&two).unwrap().is_none());
+        assert!(find_shelling_order(&two, Ctx::default()).unwrap().is_none());
         assert!(find_shelling_order_seq(&two).unwrap().is_none());
-        let (shellable, cert) = is_shellable_certified(&two, "two-points").unwrap();
+        let (shellable, cert) = certified(&two, "two-points").unwrap();
         assert!(!shellable);
-        assert_eq!(ksa_cert::check_shelling(&cert), Ok(()));
+        assert_eq!(cert.check(), Ok(()));
     }
 
     #[test]
@@ -716,12 +728,12 @@ mod tests {
             (vec![simplex(&[0, 1, 2]), simplex(&[2, 3, 4])], "fig4b"),
         ] {
             let c = Complex::from_facets(facets);
-            let (shellable, cert) = is_shellable_certified(&c, label).unwrap();
+            let (shellable, cert) = certified(&c, label).unwrap();
             assert_eq!(shellable, is_shellable(&c).unwrap(), "{label}");
-            assert_eq!(ksa_cert::check_shelling(&cert), Ok(()), "{label}");
-            let wrapped = ksa_cert::Cert::Shelling(cert);
-            let parsed = ksa_cert::Cert::parse(&wrapped.to_text()).unwrap();
-            assert_eq!(parsed, wrapped, "{label}");
+            assert_eq!(cert.check(), Ok(()), "{label}");
+            assert_eq!(cert.label(), label);
+            let parsed = ksa_cert::Cert::parse(&cert.to_text()).unwrap();
+            assert_eq!(parsed, cert, "{label}");
         }
     }
 

@@ -1,12 +1,12 @@
 //! Producer-to-checker round trip for homology certificates: every
-//! certificate `reduced_betti_certified` emits on a random small complex
+//! certificate `homology_of` emits into a sink on a random small complex
 //! passes the independent `ksa_cert::check_homology`, both as built and
 //! after a trip through the `ksa-cert/1` text format, and flipping any
 //! single claim (a rank, a basis column, a combo index, a Betti entry)
 //! gets it rejected.
 
-use ksa_cert::{check_homology, Cert, CertError, HomologyCert};
-use ksa_topology::chain::reduced_betti_certified;
+use ksa_cert::{check_homology, Cert, CertError, CertSink, HomologyCert};
+use ksa_topology::chain::homology_of;
 use ksa_topology::complex::Complex;
 use ksa_topology::homology::reduced_betti_numbers;
 use ksa_topology::simplex::{Simplex, Vertex};
@@ -23,9 +23,12 @@ fn small_complex() -> impl Strategy<Value = Complex<u8>> {
 }
 
 fn certify(c: &Complex<u8>) -> HomologyCert {
-    let (betti, cert) = reduced_betti_certified(c, "roundtrip").expect("complex is not void");
+    let sink = CertSink::new("roundtrip");
+    let step = homology_of(c, &sink).unwrap();
+    let [cert] = <[_; 1]>::try_from(sink.into_certs()).expect("complex is not void");
+    let cert = cert.into_homology().expect("a homology certificate");
     assert_eq!(
-        betti,
+        step.betti,
         reduced_betti_numbers(c),
         "certified path changed the Betti table"
     );

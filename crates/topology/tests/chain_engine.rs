@@ -12,10 +12,11 @@
 //! * a closure spanning many fan-out blocks yields the same arenas,
 //!   Betti numbers and homology certificate at every pool size.
 
+use ksa_cert::CertSink;
 use ksa_exec::ThreadPool;
-use ksa_graphs::cancel::CancelToken;
+use ksa_graphs::ctx::Ctx;
 use ksa_graphs::Digraph;
-use ksa_topology::chain::{reduced_betti_certified, ChainComplex};
+use ksa_topology::chain::{homology_of, ChainComplex};
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::{
     connectivity, connectivity_seq, connectivity_up_to, Connectivity,
@@ -123,7 +124,7 @@ proptest! {
     }
 
     /// Each round of the sweep reproduces the engine-free references on
-    /// that round's complex; a silent token changes nothing. The facet
+    /// that round's complex; a certificate sink changes nothing. The facet
     /// budget keeps the dense reference cheap: larger models are skipped.
     #[test]
     fn round_sweep_matches_seq_reference(
@@ -140,10 +141,13 @@ proptest! {
             .map(|c| (reduced_betti_numbers_seq(c), connectivity_seq(c)))
             .collect();
         for pool in pools() {
-            let (steps, cancellable) = pool.install(|| {
-                (rc.homology_sweep(), rc.homology_sweep_cancellable(&CancelToken::new()))
+            let sink = CertSink::new("sweep");
+            let (steps, certified) = pool.install(|| {
+                let certs = &sink;
+                (rc.homology_sweep(Ctx::default()).unwrap(), rc.homology_sweep(certs))
             });
-            prop_assert_eq!(cancellable.as_ref(), Ok(&steps), "pool size {}", pool.num_threads());
+            prop_assert_eq!(certified.as_ref(), Ok(&steps), "pool size {}", pool.num_threads());
+            prop_assert_eq!(sink.into_certs().len(), rounds);
             prop_assert_eq!(steps.len(), rounds);
             for (t, (step, (betti, conn))) in steps.iter().zip(&reference).enumerate() {
                 prop_assert_eq!(&step.betti, betti, "pool size {}, round {}", pool.num_threads(), t + 1);
@@ -181,18 +185,20 @@ fn multi_block_closure_identical_across_pool_sizes() {
             let counts: Vec<usize> = (0..=c.dim() as usize)
                 .map(|k| chain.simplex_count(k))
                 .collect();
-            let certified = reduced_betti_certified(c, "path3-round2").unwrap();
-            (counts, chain.reduced_betti(), certified)
+            let sink = CertSink::new("path3-round2");
+            let step = homology_of(c, &sink).unwrap();
+            (
+                counts,
+                chain.reduced_betti(),
+                (step.betti, sink.into_certs()),
+            )
         });
         assert_eq!(counts, expected_counts, "pool size {threads}");
         assert_eq!(betti, betti_ref, "pool size {threads}");
-        let (certified_betti, cert) = certified;
+        let (certified_betti, emitted) = certified;
         assert_eq!(certified_betti, betti_ref, "pool size {threads}");
-        assert_eq!(
-            ksa_cert::check_homology(&cert),
-            Ok(()),
-            "pool size {threads}"
-        );
+        let [cert] = <[_; 1]>::try_from(emitted).expect("one certificate");
+        assert_eq!(cert.check(), Ok(()), "pool size {threads}");
         certs.push(cert);
     }
     assert!(certs.windows(2).all(|w| w[0] == w[1]));

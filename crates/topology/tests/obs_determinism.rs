@@ -11,14 +11,17 @@
 //! *not* compared — it is scheduling-dependent by design; only the
 //! namespace split makes the deterministic diff meaningful.
 //!
-//! The counters are process-global, so every measured section takes a
-//! test-binary-wide lock: a concurrent test's counts bleeding into a
-//! delta would be indistinguishable from a real determinism bug.
+//! Every measured section runs under its own `ksa_obs::Scope`, so the
+//! counts of tests running concurrently in this binary stay out of it;
+//! [`scopes_are_exact_under_steals`] pins that scopes are exact.
 
 #![cfg(feature = "obs")]
 
 use ksa_exec::ThreadPool;
+use ksa_graphs::ctx::Ctx;
 use ksa_graphs::Digraph;
+use ksa_obs::{MetricsSnapshot, Scope};
+use ksa_topology::chain::reduced_betti_certified;
 use ksa_topology::complex::Complex;
 use ksa_topology::connectivity::{connectivity, connectivity_seq};
 use ksa_topology::homology::{reduced_betti_numbers, reduced_betti_numbers_seq};
@@ -27,7 +30,7 @@ use ksa_topology::pseudosphere::Pseudosphere;
 use ksa_topology::rounds::{protocol_complex_rounds, protocol_complex_rounds_seq};
 use ksa_topology::simplex::{Simplex, Vertex};
 use proptest::prelude::*;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{mpsc, OnceLock};
 
 const BUDGET: u128 = 10_000_000;
 
@@ -38,19 +41,11 @@ fn pools() -> &'static [ThreadPool] {
     POOLS.get_or_init(|| [1, 2, 8].into_iter().map(ThreadPool::new).collect())
 }
 
-/// Serializes measured sections (see module docs).
-fn counter_lock() -> MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(|| Mutex::new(()))
-        .lock()
-        .expect("counter lock")
-}
-
-/// The deterministic-tier delta produced by `work`.
+/// The deterministic-tier counts of `work`, run under its own scope.
 fn det_delta(work: impl FnOnce()) -> Vec<(&'static str, u64)> {
-    let before = ksa_obs::snapshot();
-    work();
-    ksa_obs::snapshot().det_delta(&before)
+    let scope = Scope::new();
+    scope.enter(work);
+    scope.snapshot().det
 }
 
 /// Strategy: a small complex over colors 0..5 with u8 views.
@@ -80,7 +75,6 @@ proptest! {
     /// GF(2) tests below.)
     #[test]
     fn homology_counters_identical_across_pool_sizes(c in small_complex()) {
-        let _guard = counter_lock();
         let mut reference: Option<Vec<(&'static str, u64)>> = None;
         for pool in pools() {
             let delta = det_delta(|| {
@@ -118,7 +112,6 @@ proptest! {
                 .collect(),
         )
         .unwrap();
-        let _guard = counter_lock();
         let mut reference: Option<Vec<(&'static str, u64)>> = None;
         for pool in pools() {
             let delta = det_delta(|| {
@@ -142,9 +135,6 @@ proptest! {
     /// budget admissions): parallel == sequential == every pool size.
     #[test]
     fn rounds_counters_identical_across_pool_sizes(gens in random_generators()) {
-        // Building the input enumerates facets, so it must happen under
-        // the lock too or it lands in a concurrent test's delta.
-        let _guard = counter_lock();
         let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
             .unwrap()
             .to_complex();
@@ -173,8 +163,6 @@ proptest! {
 fn repeated_runs_on_one_pool_are_stable() {
     let gens = vec![ksa_graphs::families::cycle(3).unwrap()];
     let pool = &pools()[2]; // 8 workers on a smaller CI box
-                            // The input build counts enumerated facets: keep it under the lock.
-    let _guard = counter_lock();
     let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
         .unwrap()
         .to_complex();
@@ -190,5 +178,127 @@ fn repeated_runs_on_one_pool_are_stable() {
             None => reference = Some(delta),
             Some(r) => assert_eq!(&delta, r, "deterministic tier unstable across reruns"),
         }
+    }
+}
+
+/// Workload A: a 2-round protocol complex of ↑C3 over binary inputs,
+/// with its homology sweep run under a nested scope. Returns the outer
+/// and the nested scope's counts.
+fn rounds_and_sweep(pool: &ThreadPool) -> (MetricsSnapshot, MetricsSnapshot) {
+    let gens = vec![ksa_graphs::families::cycle(3).unwrap()];
+    let outer = Scope::new();
+    let inner = outer.enter(|| {
+        let input = Pseudosphere::new((0..3).map(|p| (p, vec![0u32, 1])).collect())
+            .unwrap()
+            .to_complex();
+        let rc = pool.install(|| protocol_complex_rounds(&gens, &input, 2, BUDGET).unwrap());
+        // Opened under `outer`, so nested in it.
+        let inner = Scope::new();
+        inner.enter(|| pool.install(|| rc.homology_sweep(Ctx::default()).unwrap()));
+        inner
+    });
+    (outer.snapshot(), inner.snapshot())
+}
+
+/// Workload B: a certified Betti computation, handed to the pool as a
+/// fire-and-forget job (a heap job, picked up by whichever worker is
+/// free).
+fn certified_betti(pool: &ThreadPool, complex: &Complex<u32>) -> MetricsSnapshot {
+    let scope = Scope::new();
+    let complex = complex.clone();
+    scope.enter(|| {
+        let (tx, rx) = mpsc::channel();
+        pool.spawn(move || {
+            let certified = reduced_betti_certified(&complex, "steals").is_some();
+            tx.send(certified).unwrap();
+        });
+        assert!(rx.recv().unwrap(), "the complex is not void");
+    });
+    scope.snapshot()
+}
+
+/// Componentwise sum of two deterministic tiers.
+fn sum(a: &[(&'static str, u64)], b: &[(&'static str, u64)]) -> Vec<(&'static str, u64)> {
+    a.iter()
+        .zip(b)
+        .map(|(&(n, x), &(_, y))| (n, x + y))
+        .collect()
+}
+
+/// Set in the child process [`scopes_are_exact_under_steals`] reruns
+/// itself in.
+const ALONE: &str = "KSA_OBS_SCOPES_ALONE";
+
+/// Two threads, each in its own scope, run different workloads at once
+/// on one shared pool (sizes 1/2/8): each scope's deterministic tier
+/// equals its workload's counts measured alone on a 1-worker pool; the
+/// nested scope's counts also land in its parent; and the process
+/// totals grow by exactly the sum of the two scopes.
+///
+/// The process totals include every concurrently running test of this
+/// binary, so the test reruns itself alone in a child process.
+#[test]
+fn scopes_are_exact_under_steals() {
+    if std::env::var_os(ALONE).is_none() {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args([
+                "scopes_are_exact_under_steals",
+                "--exact",
+                "--test-threads=1",
+            ])
+            .env(ALONE, "1")
+            .output()
+            .expect("rerun the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success() && stdout.contains("1 passed"),
+            "{stdout}\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        return;
+    }
+    let path3 = vec![ksa_graphs::families::path(3).unwrap()];
+    let unary = Pseudosphere::new((0..3).map(|p| (p, vec![0u32])).collect())
+        .unwrap()
+        .to_complex();
+    let rc = protocol_complex_rounds(&path3, &unary, 2, BUDGET).unwrap();
+    let complex = rc.final_complex().clone();
+
+    // References: each workload alone on a 1-worker pool, measured by
+    // the process totals.
+    let alone = |work: &dyn Fn()| {
+        let before = ksa_obs::snapshot();
+        work();
+        ksa_obs::snapshot().det_delta(&before)
+    };
+    let one = &pools()[0];
+    let ref_a = alone(&|| drop(rounds_and_sweep(one)));
+    let ref_b = alone(&|| drop(certified_betti(one, &complex)));
+    let (a_outer, a_inner) = rounds_and_sweep(one);
+    let ref_sweep = a_inner.det;
+    assert_eq!(a_outer.det, ref_a, "a scope alone = the process delta");
+    assert!(ref_sweep.iter().any(|&(_, v)| v > 0) && ref_sweep != ref_a);
+
+    for pool in pools() {
+        let threads = pool.num_threads();
+        let before = ksa_obs::snapshot();
+        let ((a, inner), b) = std::thread::scope(|s| {
+            let a = s.spawn(|| rounds_and_sweep(pool));
+            let b = s.spawn(|| certified_betti(pool, &complex));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let process = ksa_obs::snapshot().det_delta(&before);
+        assert_eq!(a.det, ref_a, "rounds + sweep scope, pool size {threads}");
+        assert_eq!(
+            inner.det, ref_sweep,
+            "nested sweep scope, pool size {threads}"
+        );
+        assert!(inner.det.iter().zip(&a.det).all(|(i, o)| i.1 <= o.1));
+        assert_eq!(b.det, ref_b, "certified scope, pool size {threads}");
+        assert_eq!(
+            process,
+            sum(&a.det, &b.det),
+            "process delta, pool size {threads}"
+        );
     }
 }

@@ -16,11 +16,10 @@
 
 use ksa_exec::ThreadPool;
 use ksa_graphs::budget::RunBudget;
+use ksa_graphs::ctx::Ctx;
 use ksa_models::registry;
 use ksa_topology::complex::Complex;
-use ksa_topology::shelling::{
-    find_shelling_order, find_shelling_order_seq, is_shellable_certified, is_shelling_order,
-};
+use ksa_topology::shelling::{find_shelling_order, find_shelling_order_seq, is_shelling_order};
 use ksa_topology::simplex::{Simplex, Vertex};
 use ksa_topology::uninterpreted::closed_above_uninterpreted_complex;
 use proptest::TestRng;
@@ -39,7 +38,7 @@ fn assert_portfolio_matches_seq<V: ksa_topology::simplex::View>(complex: &Comple
     let reference = find_shelling_order_seq(complex);
     let ref_verdict = reference.as_ref().map(Option::is_some);
     for pool in pools() {
-        let par = pool.install(|| find_shelling_order(complex));
+        let par = pool.install(|| find_shelling_order(complex, Ctx::default()));
         assert_eq!(
             par.as_ref().map(Option::is_some),
             ref_verdict,
@@ -154,14 +153,16 @@ fn repeated_runs_stable_when_oversubscribed() {
     assert!(find_shelling_order_seq(&octa).unwrap().is_some());
     for run in 0..5 {
         let order = pool
-            .install(|| find_shelling_order(&octa))
+            .install(|| find_shelling_order(&octa, Ctx::default()))
             .unwrap()
             .unwrap_or_else(|| panic!("run {run}: octahedron must be shellable"));
         assert!(is_shelling_order(&order).unwrap(), "run {run}");
         // The certified path stays accept-checkable under racing.
-        let (shellable, cert) =
-            pool.install(|| is_shellable_certified(&octa, "octahedron").unwrap());
+        let sink = ksa_cert::CertSink::new("octahedron");
+        let ctx = &sink;
+        let shellable = pool.install(|| find_shelling_order(&octa, ctx).unwrap().is_some());
         assert!(shellable, "run {run}");
-        ksa_cert::check_shelling(&cert).unwrap_or_else(|e| panic!("run {run}: {e}"));
+        let [cert] = <[_; 1]>::try_from(sink.into_certs()).expect("one certificate");
+        cert.check().unwrap_or_else(|e| panic!("run {run}: {e}"));
     }
 }

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // One incremental sweep decides the whole k-range: the binary
         // search lands on the boundary, a witness lift seeds everything
         // above it and downward monotonicity fills everything below.
-        let sweep = decide_one_round_sweep(model, 3, 2_000_000, 50_000_000)?;
+        let sweep = decide_one_round_sweep(model, 3, 2_000_000u128, 50_000_000, &mut |_| {})?;
         for k in 1..=3usize {
             let verdict = &sweep.verdicts[k - 1];
             let shown = match verdict {

@@ -3,6 +3,7 @@
 //!
 //! Run with: `cargo run --example topology_tour`
 
+use kset_agreement::graphs::ctx::Ctx;
 use kset_agreement::graphs::families;
 use kset_agreement::prelude::*;
 use kset_agreement::topology::complex::Complex;
@@ -45,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     // (a) two triangles sharing an edge.
     let shellable = Complex::from_facets(vec![tri(0, 1, 2), tri(0, 2, 3)]);
-    let order = find_shelling_order(&shellable)?.expect("Figure 4a is shellable");
+    let order = find_shelling_order(&shellable, Ctx::default())?.expect("Figure 4a is shellable");
     println!(
         "Figure 4a: shellable, order of {} facets found",
         order.len()
